@@ -13,8 +13,13 @@ physically realize candidate subpopulations.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import io
+import itertools
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -32,8 +37,6 @@ from .errors import (
 
 MASS_TOL = 1e-9  # absolute tolerance for probability-sum invariants
 
-_CSV_HEADER = ["label", "p", "a", "w0", "tau"]
-
 
 def rng_stream(seed, *path):
     """Return an independent, reproducible generator for (seed, *path).
@@ -50,13 +53,34 @@ def rng_stream(seed, *path):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _as_float_array(values, name, k=None):
+def _as_float_array(values, name, k=None, nan_ok=False):
+    """1-d float array of length `k`, all finite (NaN allowed if `nan_ok`)."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise InvalidDesign(f"{name} must be one-dimensional")
     if k is not None and arr.shape[0] != k:
         raise InvalidDesign(f"{name} has length {arr.shape[0]}, expected {k}")
+    if not np.isfinite(arr).all() and (not nan_ok or np.isinf(arr).any()):
+        raise InvalidDesign(f"{name} values must be finite")
     return arr
+
+
+def _masses(values, name, k=None):
+    """Cell masses: finite, > 0 and summing to one."""
+    mass = _as_float_array(values, name, k)
+    if (mass <= 0).any():
+        raise InvalidDesign(f"every {name} value must be > 0")
+    if abs(mass.sum() - 1.0) > MASS_TOL:
+        raise InvalidDesign(f"{name} values sum to {mass.sum()!r}, not 1")
+    return mass
+
+
+def _store(obj, **fields):
+    """Set validated fields on a frozen dataclass; arrays become read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -95,15 +119,9 @@ class CellTable:
         k = len(labels)
         if k == 0:
             raise InvalidDesign("a design needs at least one cell")
-        p = _as_float_array(self.p, "p", k)
+        p = _masses(self.p, "p", k)
         a = _as_float_array(self.a, "a", k)
         w0 = _as_float_array(self.w0, "w0", k)
-        if np.any(p <= 0) or not np.all(np.isfinite(p)):
-            raise InvalidDesign("every cell mass must be finite and > 0")
-        if abs(p.sum() - 1.0) > MASS_TOL:
-            raise InvalidDesign(f"cell masses sum to {p.sum()!r}, not 1")
-        if not np.all(np.isfinite(a)):
-            raise InvalidDesign("weights must be finite")
         if np.any(w0 < -MASS_TOL) or np.any(w0 > 1 + MASS_TOL):
             raise InvalidDesign("w0 values must lie in [0, 1]")
         w0 = np.clip(w0, 0.0, 1.0)
@@ -111,7 +129,7 @@ class CellTable:
             raise InvalidDesign("the W0 population has zero mass")
         tau = self.tau
         if tau is not None:
-            tau = _as_float_array(tau, "tau", k)
+            tau = _as_float_array(tau, "tau", k, nan_ok=True)
             if np.all(np.isnan(tau)):
                 tau = None
         x = self.x
@@ -119,15 +137,7 @@ class CellTable:
             x = np.asarray(x, dtype=float)
             if x.ndim not in (1, 2) or x.shape[0] != k:
                 raise InvalidDesign("numeric labels must be (K,) or (K, d)")
-            x.setflags(write=False)
-        for arr in (p, a, w0) + ((tau,) if tau is not None else ()):
-            arr.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "w0", w0)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "x", x)
+        _store(self, labels=labels, p=p, a=a, w0=w0, tau=tau, x=x)
 
     # -- basic derived quantities -------------------------------------
 
@@ -160,31 +170,17 @@ class CellTable:
     # -- serialization --------------------------------------------------
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER)
-            for i, label in enumerate(self.labels):
-                tau = ""
-                if self.tau is not None and not math.isnan(self.tau[i]):
-                    tau = repr(float(self.tau[i]))
-                writer.writerow(
-                    [label, repr(float(self.p[i])), repr(float(self.a[i])),
-                     repr(float(self.w0[i])), tau]
-                )
+        tau = [""] * self.k if self.tau is None else [
+            "" if math.isnan(t) else repr(t) for t in self.tau.tolist()]
+        write_csv(path, {"label": quoted(self.labels), "p": self.p,
+                         "a": self.a, "w0": self.w0, "tau": tau})
 
     @classmethod
     def from_csv(cls, path):
-        rows = _read_csv_rows(path, _CSV_HEADER)
-        labels, p, a, w0, tau = [], [], [], [], []
-        for lineno, row in rows:
-            labels.append(row["label"])
-            p.append(_parse_float(row["p"], "p", lineno))
-            a.append(_parse_float(row["a"], "a", lineno))
-            w0.append(_parse_float(row["w0"], "w0", lineno))
-            t = row.get("tau", "")
-            tau.append(math.nan if t in ("", None) else _parse_float(t, "tau", lineno))
-        tau_arr = None if all(math.isnan(t) for t in tau) else tau
-        return cls(tuple(labels), p, a, w0, tau_arr, _infer_numeric_labels(labels))
+        labels, p, a, w0, tau = read_csv(path, {
+            "label": text_col, "p": float_col, "a": float_col,
+            "w0": float_col, "tau": tau_col}).values()
+        return cls(tuple(labels), p, a, w0, tau, _infer_numeric_labels(labels))
 
     def to_json_dict(self):
         cells = []
@@ -217,12 +213,11 @@ class CellTable:
             x = [c["x"] for c in cells] if all("x" in c for c in cells) else None
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed design payload: {exc}") from exc
-        tau_arr = None if all(math.isnan(t) for t in tau) else tau
         if x is None:
             x = _infer_numeric_labels(labels)
         else:
             x = np.squeeze(np.asarray(x, dtype=float))
-        return cls(labels, p, a, w0, tau_arr, x)
+        return cls(labels, p, a, w0, tau, x)
 
 
 def cell_table(labels, p, a, w0=None, tau=None, x=None):
@@ -248,9 +243,7 @@ class SubpopulationRule:
         inc = _as_float_array(self.inclusion, "inclusion")
         if np.any(inc < -MASS_TOL) or np.any(inc > 1 + MASS_TOL):
             raise InvalidDesign("inclusion probabilities must lie in [0, 1]")
-        inc = np.clip(inc, 0.0, 1.0)
-        inc.setflags(write=False)
-        object.__setattr__(self, "inclusion", inc)
+        _store(self, inclusion=np.clip(inc, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -382,54 +375,160 @@ def moment_summary(design):
 
 
 # ---------------------------------------------------------------------------
-# CSV plumbing shared by the table types
+# CSV layer shared by every table type
 # ---------------------------------------------------------------------------
 
 
-def _read_csv_raw(path):
-    """Header and (lineno, fields) rows of a CSV file; leading '#' comment
-    lines are skipped and blank rows dropped."""
+class _BadField(Exception):
+    """(row index, error class, message) from a column parser."""
+
+
+def read_csv(path, columns, exact=False):
+    """{header name: parsed column} of a CSV file; leading ``#`` lines
+    are skipped, fields stripped and blank rows dropped.
+
+    `columns` maps the expected header to parsers ``parse(values, name)``,
+    or is a function (path, header) -> such a map.  Short rows are padded
+    and long ones rejected, or with `exact` both are errors.  The bad
+    value on the earliest row (leftmost on a tie) is reported."""
     with open(path, newline="") as fh:
-        lines = fh.readlines()
-    start = 0
-    while start < len(lines) and lines[start].lstrip().startswith("#"):
-        start += 1
-    if start >= len(lines):
-        raise SchemaError(f"{path}: no header row found")
-    reader = csv.reader(lines[start:])
-    header = [h.strip() for h in next(reader)]
-    rows = []
-    for offset, row in enumerate(reader):
-        lineno = start + 2 + offset
-        if not row or all(not f.strip() for f in row):
-            continue
-        rows.append((lineno, [f.strip() for f in row]))
-    return header, rows
-
-
-def _read_csv_rows(path, header):
-    """(lineno, row-dict) pairs from a CSV with exactly the given header."""
-    got, raw = _read_csv_raw(path)
-    if got != list(header):
-        raise SchemaError(
-            f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
-        )
-    rows = []
-    for lineno, row in raw:
-        if len(row) > len(header):
-            raise ParseError(f"{path}:{lineno}: too many fields")
-        row = row + [""] * (len(header) - len(row))
-        rows.append((lineno, dict(zip(header, row))))
-    if not rows:
+        start = 0
+        for line in fh:
+            if not line.lstrip().startswith("#"):
+                break
+            start += 1
+        else:
+            raise SchemaError(f"{path}: no header row found")
+        reader = csv.reader(itertools.chain([line], fh))
+        header = [h.strip() for h in next(reader)]
+        if callable(columns):
+            columns = columns(path, header)
+        elif header != list(columns):
+            raise SchemaError(f"{path}: expected header {','.join(columns)!r}, "
+                              f"got {','.join(header)!r}")
+        rows = list(reader)
+    width, late = len(header), None
+    lines = range(start + 2, start + 2 + len(rows))
+    # a blank row has a blank first field, so most files skip the row loop
+    if not (all(map(width.__eq__, map(len, rows)))
+            and all(v.strip() for v in {row[0] for row in rows})):
+        rows, lines, late = _tidy_rows(path, rows, lines, width, exact)
+    if not rows and late is None:
         raise SchemaError(f"{path}: no data rows")
-    return rows
+    values = [[row[j] for row in rows] for j in range(width)]
+    del rows
+    out, bad = {}, None
+    for j, (name, parse) in enumerate(columns.items()):
+        try:
+            out[name] = parse(values[j], name)
+        except _BadField as err:
+            bad = err.args if bad is None or err.args[0] < bad[0] else bad
+        values[j] = None
+    if bad is not None:
+        raise bad[1](f"line {lines[bad[0]]}: {bad[2]}")
+    if late is not None:
+        raise late
+    return out
 
 
-def _parse_float(text, name, lineno):
+def _tidy_rows(path, rows, lines, width, exact):
+    """Drop blank rows and fix field counts row by row.  With `exact`, the
+    first row of the wrong width ends the table and its error is returned,
+    so that bad values on earlier rows are reported first."""
+    kept, kept_lines = [], []
+    for row, lineno in zip(rows, lines):
+        if not any(f.strip() for f in row):
+            continue
+        if len(row) != width:
+            if exact:
+                return kept, kept_lines, ParseError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+            if len(row) > width:
+                raise ParseError(f"{path}:{lineno}: too many fields")
+            row = row + [""] * (width - len(row))
+        kept.append(row)
+        kept_lines.append(lineno)
+    return kept, kept_lines, None
+
+
+def text_col(values, name):
+    stripped = all(v == v.strip() for v in set(values))
+    return values if stripped else [v.strip() for v in values]
+
+
+def float_col(values, name, words=None):
+    """Floats as `float` parses them; `words` maps lower-case tokens to values."""
     try:
-        return float(text)
+        return np.asarray(values, dtype=float)
     except ValueError:
-        raise ParseError(f"line {lineno}: bad {name} value {text!r}") from None
+        pass
+    words, out = words or {}, np.empty(len(values))
+    for i, text in enumerate(map(str.strip, values)):
+        try:
+            out[i] = words[text.lower()] if text.lower() in words else float(text)
+        except ValueError:
+            raise _BadField(i, ParseError, f"bad {name} value {text!r}") from None
+    return out
+
+
+tau_col = functools.partial(float_col, words={"": math.nan})
+_BITS = {"0": 0, "1": 1}
+
+
+def binary_col(values, name):
+    try:
+        return np.fromiter(map(_BITS.__getitem__, values), np.int8, len(values))
+    except KeyError:
+        values = [v.strip() for v in values]
+    for i, text in enumerate(values):
+        if text not in _BITS:
+            raise _BadField(i, ParseError, f"{name} must be 0 or 1, got {text!r}")
+    return binary_col(values, name)
+
+
+def quoted(labels):
+    """Labels as csv.writer writes them, each distinct one quoted once."""
+    form = {}
+    for label in set(labels):
+        buf = io.StringIO()
+        csv.writer(buf).writerow((label, ""))
+        form[label] = buf.getvalue()[:-3]  # drop the empty field and CRLF
+    return list(map(form.__getitem__, labels))
+
+
+def write_csv(path, columns):
+    """Write {header name: column} to a path or text stream, byte for byte
+    as csv.writer would.  A column is a numeric array, written by `repr`,
+    or a list of formatted fields; label columns go through `quoted`.
+    Rows are formatted in blocks so that memory does not grow with n."""
+    cols, step = list(columns.values()), 1 << 16
+    with open_atomic(path, newline="") as fh:
+        fh.write(",".join(columns) + "\r\n")
+        for lo in range(0, len(cols[0]), step):
+            block = [list(map(repr, c[lo:lo + step].tolist()))
+                     if isinstance(c, np.ndarray) else c[lo:lo + step] for c in cols]
+            fh.write("".join(row + "\r\n" for row in map(",".join, zip(*block))))
+
+
+@contextlib.contextmanager
+def open_atomic(path, newline=None):
+    """Write text to `path` through a temporary file beside it, which
+    replaces `path` only when the block succeeds.  Streams (stdout) and
+    non-regular files (/dev/stdout) are written to directly."""
+    if hasattr(path, "write"):
+        yield path
+    elif os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    else:
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+        try:
+            with open(tmp, "x", newline=newline) as fh:
+                yield fh
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _infer_numeric_labels(labels):

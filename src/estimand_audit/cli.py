@@ -24,7 +24,7 @@ from .bounds import (
     ate_bounds_general,
     decompose_negative_weights,
 )
-from .cells import CellTable, moment_summary, normalize_sign
+from .cells import CellTable, moment_summary, normalize_sign, open_atomic
 from .data_io import DgpSpec, load_micro, load_panel, panel_to_group_distribution, simulate
 from .designs import (
     GroupDistribution,
@@ -41,6 +41,7 @@ from .designs import (
 from .errors import AuditError, InfeasibleProgram, InvalidDesign, MissingTau
 from .inference import (
     BootstrapConfig,
+    _untrimmed,
     bootstrap_ci,
     estimate_design,
     estimate_uniform_validity,
@@ -131,11 +132,15 @@ def _build_design(args, parser):
     return family, design
 
 
+def _write_json(path, payload):
+    with open_atomic(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def _emit(args, payload, lines):
     if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        _write_json(args.json, payload)
     if not args.quiet and lines:
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -303,10 +308,7 @@ def cmd_estimate(args, parser):
     cfg = BootstrapConfig(b=1, c0=args.c0, xi0=args.xi0)
     p_hat = estimate_uniform_validity(ed, cfg)
     c_n = cfg.c_n(ed.n)
-    trimmed = [
-        ed.design.labels[i]
-        for i in np.flatnonzero(~(ed.design.w0 > c_n))
-    ]
+    trimmed = [ed.design.labels[i] for i in np.flatnonzero(~_untrimmed(ed, cfg))]
     cells = [
         {
             "label": ed.design.labels[i],
@@ -366,10 +368,7 @@ def cmd_simulate(args, parser):
     with open(args.spec) as fh:
         spec = DgpSpec.from_json_dict(json.load(fh))
     data = simulate(spec, args.n, seed=args.seed)
-    if args.out is not None:
-        data.to_csv(args.out)
-    else:
-        data.to_csv(sys.stdout)
+    data.to_csv(sys.stdout if args.out is None else args.out)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "family": spec.family,
@@ -377,9 +376,7 @@ def cmd_simulate(args, parser):
         "seed": args.seed if args.seed is not None else spec.seed,
     }
     if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, meta)
     return 0
 
 
@@ -421,11 +418,8 @@ def _figure_rows(args, parser):
 def cmd_figure_data(args, parser):
     header, rows = _figure_rows(args, parser)
     text = header + "\n" + "".join(",".join(r) + "\n" for r in rows)
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open_atomic(sys.stdout if args.out is None else args.out) as fh:
+        fh.write(text)
     if args.json is not None:
         cols = header.split(",")
         payload = {
@@ -433,9 +427,7 @@ def cmd_figure_data(args, parser):
             "which": args.which,
             "rows": [dict(zip(cols, r)) for r in rows],
         }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, payload)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Micro-sample and panel CSV ingestion plus a seeded synthetic DGP
 simulator used to validate the estimators.
 
-CSV schemas (every file may start with a single ``#`` comment line):
+CSV schemas (any number of leading ``#`` comment lines are skipped):
 
 * micro sample: ``x,d[,z][,y]`` — cell label, binary treatment, optional
   binary instrument, optional outcome;
@@ -15,17 +15,27 @@ the implied population design exactly for oracle comparisons.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import _read_csv_raw, _parse_float, rng_stream
+from .cells import (
+    _BadField,
+    _store,
+    binary_col,
+    float_col,
+    quoted,
+    read_csv,
+    rng_stream,
+    text_col,
+    write_csv,
+)
 from .designs import (
     GroupDistribution,
     IvCellTable,
     PropensityTable,
+    adoption_col,
     iv_design,
     ols_ate_design,
     ols_att_design,
@@ -36,7 +46,6 @@ from .designs import (
 )
 from .errors import (
     InvalidSpec,
-    ParseError,
     SchemaError,
     UnbalancedPanel,
 )
@@ -50,16 +59,6 @@ __all__ = [
     "panel_to_group_distribution",
     "simulate",
 ]
-
-
-@contextlib.contextmanager
-def _sink(path_or_file):
-    # file-like sinks (e.g. stdout) are used as-is and left open
-    if hasattr(path_or_file, "write"):
-        yield path_or_file
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            yield fh
 
 
 @dataclass(frozen=True)
@@ -91,74 +90,33 @@ class MicroSample:
             y = np.asarray(y, dtype=float)
             if y.shape != x.shape:
                 raise SchemaError("y must match the sample length")
-        for arr in (x, d) + tuple(a for a in (z, y) if a is not None):
-            arr.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "y", y)
+        _store(self, x=x, d=d, z=z, y=y)
 
     @property
     def n(self):
         return len(self.x)
 
     def to_csv(self, path):
-        import csv
+        """Write the sample as CSV to a path or a text stream."""
+        write_csv(path, {"x": quoted(self.x.tolist()), **{
+            name: v for name, v in (("d", self.d), ("z", self.z), ("y", self.y))
+            if v is not None}})
 
-        cols = ["x", "d"] + (["z"] if self.z is not None else []) + (
-            ["y"] if self.y is not None else []
-        )
-        with _sink(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for i in range(self.n):
-                row = [str(self.x[i]), int(self.d[i])]
-                if self.z is not None:
-                    row.append(int(self.z[i]))
-                if self.y is not None:
-                    row.append(repr(float(self.y[i])))
-                writer.writerow(row)
+
+_MICRO_COLUMNS = {"x": text_col, "d": binary_col, "z": binary_col, "y": float_col}
+
+
+def _micro_columns(path, header):
+    if header[:2] != ["x", "d"] or header[2:] not in ([], ["y"], ["z"], ["z", "y"]):
+        raise SchemaError(f"{path}: header must be one of x,d | x,d,y | x,d,z | "
+                          f"x,d,z,y; got {','.join(header)!r}")
+    return {name: _MICRO_COLUMNS[name] for name in header}
 
 
 def load_micro(path):
     """Read a micro sample CSV; the instrument and outcome columns are
     optional but the column order x, d, z, y is fixed."""
-    header, raw = _read_csv_raw(path)
-    allowed = (["x", "d"], ["x", "d", "y"], ["x", "d", "z"],
-               ["x", "d", "z", "y"])
-    if header not in allowed:
-        raise SchemaError(
-            f"{path}: header must be one of "
-            + " | ".join(",".join(h) for h in allowed)
-            + f"; got {','.join(header)!r}"
-        )
-    has_z = "z" in header
-    has_y = "y" in header
-    x, d, z, y = [], [], [], []
-    for lineno, row in raw:
-        if len(row) != len(header):
-            raise ParseError(f"{path}: line {lineno}: expected "
-                             f"{len(header)} fields, got {len(row)}")
-        vals = dict(zip(header, row))
-        x.append(vals["x"])
-        d.append(_parse_binary(vals["d"], "d", lineno))
-        if has_z:
-            z.append(_parse_binary(vals["z"], "z", lineno))
-        if has_y:
-            y.append(_parse_float(vals["y"], "y", lineno))
-    if not x:
-        raise SchemaError(f"{path}: no data rows")
-    return MicroSample(
-        x=np.asarray(x), d=d, z=z if has_z else None, y=y if has_y else None
-    )
-
-
-def _parse_binary(text, name, lineno):
-    if text == "0":
-        return 0
-    if text == "1":
-        return 1
-    raise ParseError(f"line {lineno}: {name} must be 0 or 1, got {text!r}")
+    return MicroSample(**read_csv(path, _micro_columns, exact=True))
 
 
 @dataclass(frozen=True)
@@ -187,17 +145,9 @@ class PanelData:
         if np.any(np.isnan(y)):
             raise UnbalancedPanel("missing outcomes; the panel must be balanced")
         finite = g[~np.isinf(g)]
-        if np.any(finite != np.round(finite)) or np.any(finite < 2) or np.any(
-            finite > t
-        ):
-            raise SchemaError(
-                f"adoption periods must lie in {{2,…,{t}}} or be inf"
-            )
-        g.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "y", y)
+        if np.any((finite != np.round(finite)) | (finite < 2) | (finite > t)):
+            raise SchemaError(f"adoption periods must lie in {{2,…,{t}}} or be inf")
+        _store(self, units=units, g=g, y=y)
 
     @property
     def n(self):
@@ -208,47 +158,37 @@ class PanelData:
         return self.y.shape[1]
 
     def to_csv(self, path):
-        import csv
+        """Write the panel as CSV to a path or a text stream."""
+        g = ["inf" if math.isinf(g) else str(int(g)) for g in self.g.tolist()]
+        write_csv(path, {"unit": quoted(self.units), "g": g, **{
+            f"y{t}": col for t, col in enumerate(self.y.T, start=1)}})
 
-        with _sink(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["unit", "g"] + [f"y{t}" for t in
-                                             range(1, self.t + 1)])
-            for i, unit in enumerate(self.units):
-                g = "inf" if math.isinf(self.g[i]) else str(int(self.g[i]))
-                writer.writerow([unit, g] + [repr(float(v)) for v in self.y[i]])
+
+def _panel_columns(path, header):
+    t = len(header) - 2
+    periods = [f"y{i}" for i in range(1, t + 1)]
+    if header[:2] != ["unit", "g"] or t < 2 or header[2:] != periods:
+        raise SchemaError(
+            f"{path}: header must be unit,g,y1,…,yT; got {','.join(header)!r}"
+        )
+    return {"unit": text_col, "g": adoption_col,
+            **dict.fromkeys(periods, _outcome_col)}
+
+
+def _outcome_col(values, name):
+    try:
+        return float_col(values, name)
+    except _BadField as bad:
+        i = bad.args[0]
+        if values[i].strip():
+            raise
+        raise _BadField(i, UnbalancedPanel, f"missing outcome {name}") from None
 
 
 def load_panel(path):
     """Read a wide-form panel CSV with header unit,g,y1,...,yT."""
-    header, raw = _read_csv_raw(path)
-    t = len(header) - 2
-    if header[:2] != ["unit", "g"] or t < 2 or header[2:] != [
-        f"y{i}" for i in range(1, t + 1)
-    ]:
-        raise SchemaError(
-            f"{path}: header must be unit,g,y1,…,yT; got {','.join(header)!r}"
-        )
-    units, g, y = [], [], []
-    for lineno, row in raw:
-        if len(row) != len(header):
-            raise ParseError(f"{path}: line {lineno}: expected "
-                             f"{len(header)} fields, got {len(row)}")
-        units.append(row[0])
-        g_text = row[1].lower()
-        g.append(math.inf if g_text in ("inf", "never")
-                 else _parse_float(row[1], "g", lineno))
-        outcomes = []
-        for j, text in enumerate(row[2:], start=1):
-            if text == "":
-                raise UnbalancedPanel(
-                    f"{path}: line {lineno}: missing outcome y{j}"
-                )
-            outcomes.append(_parse_float(text, f"y{j}", lineno))
-        y.append(outcomes)
-    if not units:
-        raise SchemaError(f"{path}: no data rows")
-    return PanelData(tuple(units), g, np.asarray(y))
+    units, g, *y = read_csv(path, _panel_columns, exact=True).values()
+    return PanelData(tuple(units), g, np.column_stack(y))
 
 
 def panel_to_group_distribution(panel):

@@ -9,6 +9,7 @@ estimand implicitly averages over.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,15 +19,22 @@ from .cells import (
     MASS_TOL,
     CellTable,
     _as_float_array,
+    _BadField,
     _infer_numeric_labels,
-    _parse_float,
-    _read_csv_rows,
+    _masses,
+    _store,
+    float_col,
+    quoted,
+    read_csv,
+    text_col,
+    write_csv,
 )
 from .errors import (
     InvalidDesign,
     NoCompliers,
     NoTreatedGroups,
     OverlapViolation,
+    ParseError,
 )
 
 __all__ = [
@@ -45,19 +53,25 @@ __all__ = [
 ]
 
 
-def _check_masses(mass, k):
-    mass = _as_float_array(mass, "mass", k)
-    if np.any(mass <= 0) or not np.all(np.isfinite(mass)):
-        raise InvalidDesign("every cell mass must be finite and > 0")
-    if abs(mass.sum() - 1.0) > MASS_TOL:
-        raise InvalidDesign(f"cell masses sum to {mass.sum()!r}, not 1")
-    mass.setflags(write=False)
-    return mass
+class _LabelledTable:
+    """CSV round trip of cell labels plus the float columns `_COLUMNS`."""
+
+    def to_csv(self, path):
+        write_csv(path, {"label": quoted(self.labels), **{
+            name: getattr(self, name) for name in self._COLUMNS}})
+
+    @classmethod
+    def from_csv(cls, path):
+        labels, *cols = read_csv(path, {
+            "label": text_col, **dict.fromkeys(cls._COLUMNS, float_col)}).values()
+        return cls(tuple(labels), *cols)
 
 
 @dataclass(frozen=True)
-class PropensityTable:
+class PropensityTable(_LabelledTable):
     """Per-cell treatment probabilities P(D=1|X=x) and covariate masses."""
+
+    _COLUMNS = ("mass", "p")
 
     labels: tuple
     mass: np.ndarray
@@ -68,35 +82,21 @@ class PropensityTable:
         k = len(labels)
         if k == 0:
             raise InvalidDesign("a propensity table needs at least one cell")
-        mass = _check_masses(self.mass, k)
+        mass = _masses(self.mass, "mass", k)
         p = _as_float_array(self.p, "p", k)
         if np.any(p <= 0) or np.any(p >= 1):
             raise OverlapViolation(
                 "treatment probabilities must lie strictly inside (0, 1)"
             )
-        p.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "p", p)
-
-    def to_csv(self, path):
-        _write_rows(path, ["label", "mass", "p"],
-                    zip(self.labels, self.mass, self.p))
-
-    @classmethod
-    def from_csv(cls, path):
-        rows = _read_csv_rows(path, ["label", "mass", "p"])
-        return cls(
-            tuple(r["label"] for _, r in rows),
-            [_parse_float(r["mass"], "mass", n) for n, r in rows],
-            [_parse_float(r["p"], "p", n) for n, r in rows],
-        )
+        _store(self, labels=labels, mass=mass, p=p)
 
 
 @dataclass(frozen=True)
-class IvCellTable:
+class IvCellTable(_LabelledTable):
     """Per-cell instrument propensity, treatment-instrument covariance and
     complier share for binary-instrument designs."""
+
+    _COLUMNS = ("mass", "pz", "cov_dz", "pc")
 
     labels: tuple
     mass: np.ndarray
@@ -109,7 +109,7 @@ class IvCellTable:
         k = len(labels)
         if k == 0:
             raise InvalidDesign("an instrument table needs at least one cell")
-        mass = _check_masses(self.mass, k)
+        mass = _masses(self.mass, "mass", k)
         pz = _as_float_array(self.pz, "pz", k)
         cov_dz = _as_float_array(self.cov_dz, "cov_dz", k)
         pc = _as_float_array(self.pc, "pc", k)
@@ -122,32 +122,8 @@ class IvCellTable:
             raise InvalidDesign("|cov_dz| cannot exceed 1/4 for binary D, Z")
         if np.any(pc < -MASS_TOL) or np.any(pc > 1 + MASS_TOL):
             raise InvalidDesign("complier shares must lie in [0, 1]")
-        pc = np.clip(pc, 0.0, 1.0)
-        for arr in (pz, cov_dz, pc):
-            arr.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "pz", pz)
-        object.__setattr__(self, "cov_dz", cov_dz)
-        object.__setattr__(self, "pc", pc)
-
-    def to_csv(self, path):
-        _write_rows(
-            path,
-            ["label", "mass", "pz", "cov_dz", "pc"],
-            zip(self.labels, self.mass, self.pz, self.cov_dz, self.pc),
-        )
-
-    @classmethod
-    def from_csv(cls, path):
-        header = ["label", "mass", "pz", "cov_dz", "pc"]
-        rows = _read_csv_rows(path, header)
-        cols = {
-            name: [_parse_float(r[name], name, n) for n, r in rows]
-            for name in header[1:]
-        }
-        return cls(tuple(r["label"] for _, r in rows), cols["mass"],
-                   cols["pz"], cols["cov_dz"], cols["pc"])
+        _store(self, labels=labels, mass=mass, pz=pz, cov_dz=cov_dz,
+               pc=np.clip(pc, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -162,6 +138,7 @@ class GroupDistribution:
         if t < 2:
             raise InvalidDesign("a panel needs at least two periods")
         shares = {}
+        _as_float_array(list(dict(self.shares).values()), "share")
         for g, s in dict(self.shares).items():
             g = math.inf if (isinstance(g, float) and math.isinf(g)) else int(g)
             s = float(s)
@@ -172,8 +149,7 @@ class GroupDistribution:
             shares[g] = max(s, 0.0)
         if abs(sum(shares.values()) - 1.0) > MASS_TOL:
             raise InvalidDesign("group shares must sum to 1")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "shares", shares)
+        _store(self, t=t, shares=shares)
 
     def treated_groups(self):
         """Finite adoption periods with positive share, ascending."""
@@ -197,21 +173,17 @@ class GroupDistribution:
         return sum(self.f_cum(t) for t in range(1, self.t + 1)) / self.t
 
     def to_csv(self, path):
-        rows = sorted(self.shares.items(), key=lambda kv: (kv[0] is math.inf, kv[0]))
-        _write_rows(path, ["g", "share"],
-                    (("inf" if g is math.inf else g, s) for g, s in rows))
+        groups = sorted(self.shares, key=lambda g: (g is math.inf, g))
+        write_csv(path, {"g": [_g_str(g) for g in groups],
+                         "share": np.array([self.shares[g] for g in groups])})
 
     @classmethod
     def from_csv(cls, path):
         """Read `g,share` rows; the number of periods is taken to be the
         largest finite adoption period."""
-        rows = _read_csv_rows(path, ["g", "share"])
-        shares = {}
-        for n, r in rows:
-            g = math.inf if r["g"].lower() in ("inf", "never") else int(
-                _parse_float(r["g"], "g", n)
-            )
-            shares[g] = _parse_float(r["share"], "share", n)
+        groups, share = read_csv(path, {"g": _group_col,
+                                        "share": float_col}).values()
+        shares = dict(zip(groups, share.tolist()))
         finite = [g for g in shares if g is not math.inf]
         if not finite:
             raise InvalidDesign(
@@ -232,17 +204,21 @@ class PanelCellTable(CellTable):
         return tuple(zip(self.groups, self.times))
 
 
-def _write_rows(path, header, rows):
-    import csv
+adoption_col = functools.partial(float_col, words={"never": math.inf})
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [x if isinstance(x, str) else
-                 (x if isinstance(x, int) else repr(float(x))) for x in row]
-            )
+
+def _group_col(values, name):
+    """Distinct adoption periods; any infinite value means never treated."""
+    groups = []
+    for i, g in enumerate(adoption_col(values, name).tolist()):
+        if not (math.isinf(g) or g.is_integer()):
+            raise _BadField(i, ParseError, f"{name} must be a whole period "
+                            f"or inf, got {values[i].strip()!r}")
+        g = math.inf if math.isinf(g) else int(g)
+        if g in groups:
+            raise _BadField(i, ParseError, f"duplicated {name} {_g_str(g)}")
+        groups.append(g)
+    return groups
 
 
 def _g_str(g):

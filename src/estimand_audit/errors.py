@@ -87,5 +87,9 @@ class InvalidSpec(AuditError):
     """A simulation spec fails validation."""
 
 
+class InvariantViolation(AuditError):
+    """An internal invariant failed; this is a bug, not bad input."""
+
+
 class InvalidSupport(AuditError):
     """Support information is inconsistent (e.g. lower bound above upper)."""

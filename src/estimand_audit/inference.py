@@ -22,13 +22,14 @@ import math
 
 import numpy as np
 
-from .cells import CellTable, cell_table, rng_stream
+from .cells import CellTable, _store, cell_table, rng_stream
 from .errors import (
     AllCellsTrimmed,
     DegenerateWeights,
     DimensionMismatch,
     EmptyCellArm,
     InvalidDesign,
+    InvariantViolation,
     NoCompliers,
     ResampleDegenerate,
     SchemaError,
@@ -97,13 +98,9 @@ class EstimatedDesign:
     family: str
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        joint = np.asarray(self.joint, dtype=np.int64)
-        counts.setflags(write=False)
-        joint.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "joint", joint)
-        if int(counts.sum()) != self.n or int(joint.sum()) != self.n:
+        _store(self, counts=np.asarray(self.counts, dtype=np.int64),
+               joint=np.asarray(self.joint, dtype=np.int64))
+        if int(self.counts.sum()) != self.n or int(self.joint.sum()) != self.n:
             raise InvalidDesign("cell counts do not add up to the sample size")
 
 
@@ -124,11 +121,9 @@ class LimitFunctional:
     psi_set: tuple
 
     def __post_init__(self):
-        for name in ("coef_a", "coef_w0", "coef_p"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "psi_set", tuple(int(i) for i in self.psi_set))
+        _store(self, psi_set=tuple(int(i) for i in self.psi_set),
+               **{name: np.asarray(getattr(self, name), dtype=float)
+                  for name in ("coef_a", "coef_w0", "coef_p")})
         if not self.psi_set:
             raise InvalidDesign("near-maximizer set is empty")
 
@@ -154,9 +149,7 @@ class BootstrapResult:
     status: str = "ok"
 
     def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
-        draws.setflags(write=False)
-        object.__setattr__(self, "draws", draws)
+        _store(self, draws=np.asarray(self.draws, dtype=float))
 
     @property
     def p_hat_clipped(self):
@@ -291,7 +284,8 @@ def estimate_design(sample, family):
                 "cell %r has rows for only one treatment arm" % str(labels[bad[0]])
             )
     p, a, w0, ok_a, ok_w0 = _theta(joint, n, family)
-    assert bool(ok_a.all()) and bool(ok_w0.all())
+    if not (ok_a.all() and ok_w0.all()):
+        raise InvariantViolation("a cell with both arms has an undefined estimate")
     try:
         design = cell_table([str(v) for v in labels], p, a, w0=w0)
     except InvalidDesign:

@@ -25,6 +25,9 @@ import numpy as np
 from .cells import (
     CellTable,
     SubpopulationRule,
+    _as_float_array,
+    _masses,
+    _store,
     mu,
     normalize_sign,
 )
@@ -96,19 +99,9 @@ class TauSample:
     pop_w0: float = 1.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        masses = np.asarray(self.masses, dtype=float)
-        if values.ndim != 1 or values.shape != masses.shape:
-            raise InvalidDesign("values and masses must be matching vectors")
-        if not np.all(np.isfinite(values)):
-            raise InvalidDesign("sample values must be finite")
-        if np.any(masses <= 0) or abs(masses.sum() - 1.0) > 1e-9:
-            raise InvalidDesign("masses must be positive and sum to 1")
-        values.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "pop_w0", float(self.pop_w0))
+        values = _as_float_array(self.values, "values")
+        masses = _masses(self.masses, "masses", len(values))
+        _store(self, values=values, masses=masses, pop_w0=float(self.pop_w0))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from estimand_audit import cli
+from estimand_audit.cells import MomentSummary
 from estimand_audit.data_io import MicroSample
 
 BENCH_CSV = "label,p,a,w0,tau\n1,0.2,0.24,1.0,\n2,0.8,0.09,1.0,\n"
@@ -402,3 +403,97 @@ class TestUsageErrors:
         src.write_text("label,p,a,w0,tau\n1,0.4,0.2,1.0,\n2,0.4,0.1,1.0,\n")
         assert run("audit", "--design", src) == 1
         assert "error" in capsys.readouterr().err
+
+
+def exits_with_error(capsys, *args):
+    code = run(*args)
+    err = capsys.readouterr().err
+    return code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+class TestMalformedGroups:
+    """Adoption periods that are not whole numbers, or repeat, are input
+    errors naming their line, never tracebacks or silent changes."""
+
+    @pytest.mark.parametrize("rows,line", [
+        ("2,0.7\nnan,0.25\ninf,0.05", 3),
+        ("2,0.7\n2.5,0.25\ninf,0.05", 3),
+        ("2,0.7\n3,0.25\n2,0.05", 4),
+        ("2,0.7\ninf,0.25\nInfinity,0.05", 4),
+    ], ids=["nan", "fraction", "duplicate", "duplicate-never"])
+    def test_rejected(self, tmp_path, capsys, rows, line):
+        src = tmp_path / "groups.csv"
+        src.write_text("g,share\n%s\n" % rows)
+        assert run("audit", "--family", "twfe_h", "--groups", src) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line %d: " % line)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("never", ["Infinity", "-inf", "1e999", "never"])
+    def test_infinite_period_means_never_treated(self, tmp_path, never):
+        reports = []
+        for g in ("inf", never):
+            src = tmp_path / "groups.csv"
+            src.write_text("g,share\n2,0.7\n3,0.25\n%s,0.05\n" % g)
+            out = tmp_path / ("%s.json" % len(reports))
+            assert run("audit", "--family", "twfe_h", "--groups", src,
+                       "--json", out, "--quiet") == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
+class TestNonFiniteDesignValues:
+    def test_nan_w0_is_an_input_error_and_writes_no_report(self, tmp_path,
+                                                          capsys):
+        src = tmp_path / "d.csv"
+        src.write_text("label,p,a,w0,tau\n1,0.2,0.24,NaN,\n2,0.8,0.09,1.0,\n")
+        out = tmp_path / "r.json"
+        assert exits_with_error(capsys, "audit", "--design", src,
+                                "--json", out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau", ["inf", "-inf"])
+    def test_infinite_tau_rejected(self, tmp_path, capsys, tau):
+        src = tmp_path / "d.csv"
+        src.write_text("label,p,a,w0,tau\n1,0.2,0.24,1.0,%s\n"
+                       "2,0.8,0.09,1.0,3.0\n" % tau)
+        assert exits_with_error(capsys, "audit", "--design", src)
+        src.write_text(BENCH_CSV)
+        assert exits_with_error(capsys, "audit", "--design", src,
+                                "--tau", "1.0,%s" % tau)
+
+    def test_nan_propensity_rejected(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        src.write_text("label,mass,p\n1,0.2,nan\n2,0.8,0.1\n")
+        assert exits_with_error(capsys, "audit", "--family", "ols_ate",
+                                "--propensities", src)
+
+
+class TestAtomicOutputs:
+    def test_failed_report_keeps_the_earlier_file(self, tmp_path,
+                                                  monkeypatch):
+        src = tmp_path / "bench.csv"
+        src.write_text(BENCH_TAU_CSV)
+        out = tmp_path / "r.json"
+        assert run("audit", "--design", src, "--json", out, "--quiet") == 0
+        before = out.read_bytes()
+        # json.dump(allow_nan=False) fails part way through the report
+        monkeypatch.setattr(cli, "moment_summary", lambda design: MomentSummary(
+            mu=float("nan"), mean_a_given_w0=0.5, pop_w0=1.0, e0=None))
+        with pytest.raises(ValueError, match="JSON"):
+            run("audit", "--design", src, "--mu0", 2.2, "--json", out, "--quiet")
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bench.csv", "r.json"]
+
+    def test_simulate_out_and_meta_replace_whole_files(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(SPEC_JSON)
+        out, meta = tmp_path / "s.csv", tmp_path / "m.json"
+        for n in (50, 20):
+            assert run("simulate", "--spec", spec, "--n", n, "--seed", 1,
+                       "--out", out, "--json", meta) == 0
+        assert out.read_text().count("\n") == 21
+        assert json.loads(meta.read_text())["n"] == 20
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m.json", "s.csv", "spec.json"]

@@ -1,0 +1,365 @@
+"""Lock-in tests for the CSV layer shared by every table type.
+
+Each of the six readers is run on the same kinds of malformed and
+unusual input: bad values (reported with their line), wrong field
+counts, quoted labels, CRLF line endings and padded fields.  The writer
+tests pin the exact bytes each `to_csv` produces on seeded inputs.
+"""
+
+import dataclasses
+import hashlib
+import io
+import math
+import os
+
+import numpy as np
+import pytest
+
+from estimand_audit.cells import CellTable, open_atomic
+from estimand_audit.data_io import MicroSample, PanelData, load_micro, load_panel
+from estimand_audit.designs import GroupDistribution, IvCellTable, PropensityTable
+from estimand_audit.errors import InvalidDesign, ParseError
+
+
+@dataclasses.dataclass(frozen=True)
+class Reader:
+    read: object
+    header: tuple
+    rows: tuple      # three valid data rows
+    numeric: tuple   # columns whose values are parsed
+    exact: bool      # rows must have exactly len(header) fields
+    label: str | None = None
+
+    def text(self, rows=None, comments=0, blank_before=None, eol="\n"):
+        lines = ["# comment %d" % i for i in range(comments)]
+        lines.append(",".join(self.header))
+        for i, row in enumerate(self.rows if rows is None else rows):
+            if i == blank_before:
+                lines.append("")
+            lines.append(",".join(row))
+        return eol.join(lines) + eol
+
+
+READERS = {
+    "cells": Reader(
+        CellTable.from_csv, ("label", "p", "a", "w0", "tau"),
+        (("a", "0.25", "1.0", "1.0", "0.5"),
+         ("b", "0.25", "2.0", "0.5", "1.5"),
+         ("c", "0.5", "0.5", "1.0", "-1.0")),
+        ("p", "a", "w0", "tau"), exact=False, label="label"),
+    "propensity": Reader(
+        PropensityTable.from_csv, ("label", "mass", "p"),
+        (("a", "0.25", "0.4"), ("b", "0.25", "0.1"), ("c", "0.5", "0.7")),
+        ("mass", "p"), exact=False, label="label"),
+    "iv": Reader(
+        IvCellTable.from_csv, ("label", "mass", "pz", "cov_dz", "pc"),
+        (("a", "0.25", "0.5", "0.1", "0.4"),
+         ("b", "0.25", "0.3", "-0.05", "0.2"),
+         ("c", "0.5", "0.6", "0.12", "0.5")),
+        ("mass", "pz", "cov_dz", "pc"), exact=False, label="label"),
+    "groups": Reader(
+        GroupDistribution.from_csv, ("g", "share"),
+        (("2", "0.25"), ("3", "0.25"), ("inf", "0.5")),
+        ("g", "share"), exact=False),
+    "micro": Reader(
+        load_micro, ("x", "d", "z", "y"),
+        (("a", "1", "0", "0.5"), ("b", "0", "1", "-2.0"),
+         ("a", "0", "0", "1e-3")),
+        ("d", "z", "y"), exact=True, label="x"),
+    "panel": Reader(
+        load_panel, ("unit", "g", "y1", "y2", "y3"),
+        (("u1", "2", "0.0", "1.0", "1.5"), ("u2", "3", "0.5", "0.5", "2.0"),
+         ("u3", "inf", "0.0", "0.5", "1.0")),
+        ("g", "y1", "y2", "y3"), exact=True, label="unit"),
+}
+CASES = [(name, col) for name, r in READERS.items() for col in r.numeric]
+LABELLED = [name for name, r in READERS.items() if r.label]
+
+
+def snapshot(obj):
+    """Comparable text of a table: every field, arrays as (kind, values)."""
+    out = []
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, np.ndarray):
+            v = (v.dtype.kind, v.tolist())
+        elif isinstance(v, dict):
+            v = sorted(v.items(), key=repr)
+        out.append((f.name, v))
+    return repr(out)
+
+
+def read(tmp_path, reader, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    return reader.read(path)
+
+
+def with_value(reader, row, col, value, rows=None):
+    rows = [list(r) for r in (reader.rows if rows is None else rows)]
+    rows[row][reader.header.index(col)] = value
+    return rows
+
+
+def error_at(line, col):
+    return rf"line {line}: (bad {col} value|{col} must be)"
+
+
+class TestReaders:
+    @pytest.mark.parametrize("name", READERS)
+    def test_valid_table_reads(self, tmp_path, name):
+        r = READERS[name]
+        read(tmp_path, r, r.text())
+
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize("comments", [0, 2])
+    @pytest.mark.parametrize("name,col", CASES)
+    def test_bad_value_names_its_line(self, tmp_path, name, col, comments,
+                                      blank):
+        r = READERS[name]
+        text = r.text(with_value(r, 1, col, "abc"), comments=comments,
+                      blank_before=1 if blank else None)
+        line = comments + 3 + int(blank)
+        with pytest.raises(ParseError, match=error_at(line, col)):
+            read(tmp_path, r, text)
+
+    @pytest.mark.parametrize("name,col", CASES)
+    def test_earlier_of_two_bad_rows_is_reported(self, tmp_path, name, col):
+        r = READERS[name]
+        rows = with_value(r, 2, col, "zzz", with_value(r, 1, col, "abc"))
+        with pytest.raises(ParseError, match=error_at(3, col) + ".*'abc'"):
+            read(tmp_path, r, r.text(rows))
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_too_many_fields(self, tmp_path, name):
+        r = READERS[name]
+        rows = [list(row) for row in r.rows]
+        rows[1].append("1")
+        want = r"line 3: expected" if r.exact else r":3: too many fields"
+        with pytest.raises(ParseError, match=want):
+            read(tmp_path, r, r.text(rows))
+
+    @pytest.mark.parametrize("name", [n for n in READERS if READERS[n].exact])
+    def test_too_few_fields(self, tmp_path, name):
+        r = READERS[name]
+        rows = [list(row) for row in r.rows]
+        rows[2].pop()
+        with pytest.raises(ParseError, match=r"line 4: expected"):
+            read(tmp_path, r, r.text(rows))
+
+    @pytest.mark.parametrize("name", [n for n in READERS if not READERS[n].exact])
+    def test_short_rows_are_padded(self, tmp_path, name):
+        r = READERS[name]
+        rows = [list(row) for row in r.rows]
+        rows[1] = rows[1][:1]
+        want = r"line 3: bad %s value ''" % r.header[1]
+        with pytest.raises(ParseError, match=want):
+            read(tmp_path, r, r.text(rows))
+
+    def test_field_count_checked_before_values_in_tables(self, tmp_path):
+        r = READERS["propensity"]
+        rows = with_value(r, 0, "p", "abc")
+        rows[2].append("1")
+        with pytest.raises(ParseError, match=r":4: too many fields"):
+            read(tmp_path, r, r.text(rows))
+
+    @pytest.mark.parametrize("name", [n for n in READERS if READERS[n].exact])
+    def test_earlier_bad_value_beats_later_field_count(self, tmp_path, name):
+        r = READERS[name]
+        rows = with_value(r, 0, r.numeric[0], "abc")
+        rows[2].append("1")
+        with pytest.raises(ParseError, match=error_at(2, r.numeric[0])):
+            read(tmp_path, r, r.text(rows))
+
+    def test_blank_tau_is_padded_as_missing(self, tmp_path):
+        r = READERS["cells"]
+        rows = [list(row) for row in r.rows]
+        rows[0].pop()
+        rows[1][4] = ""
+        design = read(tmp_path, r, r.text(rows))
+        assert repr(design.tau.tolist()) == "[nan, nan, -1.0]"
+        all_blank = [row[:4] for row in r.rows]
+        assert read(tmp_path, r, r.text(all_blank)).tau is None
+
+    @pytest.mark.parametrize("name", LABELLED)
+    def test_quoted_labels(self, tmp_path, name):
+        r = READERS[name]
+        rows = [list(row) for row in r.rows]
+        col = r.header.index(r.label)
+        rows[0][col] = '"a,b"'
+        rows[1][col] = '"say ""hi"""'
+        table = read(tmp_path, r, r.text(rows))
+        labels = getattr(table, {"label": "labels", "x": "x",
+                                 "unit": "units"}[r.label])
+        assert list(labels)[:2] == ["a,b", 'say "hi"']
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_crlf_input(self, tmp_path, name):
+        r = READERS[name]
+        lf = read(tmp_path, r, r.text(comments=1))
+        crlf = read(tmp_path, r, r.text(comments=1, eol="\r\n"))
+        assert snapshot(crlf) == snapshot(lf)
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_padded_fields_are_stripped(self, tmp_path, name):
+        r = READERS[name]
+        padded = [[" %s\t" % f for f in row] for row in r.rows]
+        assert snapshot(read(tmp_path, r, r.text(padded))) == snapshot(
+            read(tmp_path, r, r.text()))
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_whitespace_only_rows_are_dropped(self, tmp_path, name):
+        r = READERS[name]
+        rows = [list(row) for row in r.rows]
+        rows.insert(2, [" "] * len(r.header))
+        assert snapshot(read(tmp_path, r, r.text(rows))) == snapshot(
+            read(tmp_path, r, r.text()))
+
+
+# ---------------------------------------------------------------------------
+# writers
+# ---------------------------------------------------------------------------
+
+LABELS = ["a", "b,c", 'say "hi"', " pad ", "line\nbreak"] + [
+    "k%d" % i for i in range(15)]
+
+
+def seeded_tables():
+    rng = np.random.default_rng(20240417)
+    k = len(LABELS)
+    tau = rng.normal(size=k)
+    tau[[2, 7]] = np.nan
+    y = rng.normal(size=1000)
+    y[:4] = [1e-7, -1.5e22, 0.0, -0.0]
+    x = np.asarray(LABELS)[rng.integers(0, k, size=1000)]
+    d = rng.integers(0, 2, size=1000)
+    z = rng.integers(0, 2, size=1000)
+    pz = rng.uniform(0.05, 0.95, size=k)
+    pc = rng.uniform(0, 1, size=k)
+    return {
+        "cells": CellTable(LABELS, rng.dirichlet(np.ones(k)),
+                           rng.normal(size=k), rng.uniform(size=k), tau),
+        "propensity": PropensityTable(LABELS, rng.dirichlet(np.ones(k)),
+                                      rng.uniform(0.05, 0.95, size=k)),
+        "iv": IvCellTable(LABELS, rng.dirichlet(np.ones(k)), pz,
+                          pc * pz * (1 - pz) * rng.choice([-1.0, 1.0], k), pc),
+        "groups": GroupDistribution(
+            6, {2: 0.1, 3: 0.2, 5: 0.3, 6: 0.15, math.inf: 0.25}),
+        "micro": MicroSample(x=x, d=d, z=z, y=y),
+        "micro_xd": MicroSample(x=x, d=d),
+        "micro_xdy": MicroSample(x=x, d=d, y=y),
+        "panel": PanelData(
+            ["u%d" % i for i in range(28)] + ["u,1", 'u"q'],
+            rng.choice([2.0, 3.0, math.inf], size=30),
+            rng.normal(size=(30, 4)) * 10.0 ** rng.integers(-8, 8, (30, 4))),
+    }
+
+
+WRITER_SHA256 = {
+    "cells":
+        "9a9a9a73f17d5de1c2d5618bcb8f4b868a4d7232dda1d027784b71577770216b",
+    "propensity":
+        "fc071de03e2d36e1e2ded1ec73e276d009b3c1e9397717c94a8ef4d89b73ecd6",
+    "iv":
+        "12cd02b4728efb2fcfa110814265e3a6a55d7227d6661b4ab29a5a6c525274fb",
+    "groups":
+        "87760c2ebab59e55a0dd9e0634de1933f72d32195731a80fab8984a82ecef45e",
+    "micro":
+        "e55948b47306229c84745f075f0b9e23fa013cd5a72f8b9577477a94e098345a",
+    "micro_xd":
+        "b8744ad00d38becc1332b24fb1af2698442c28111944aaf878408619d37773af",
+    "micro_xdy":
+        "edcc8c3e1f1b183b64a3d44df3301a57dc32b01330af902e0a7716428a59e12c",
+    "panel":
+        "0e87171b2ad5704fef33034194c2c10b483bfaf4f3e49237bebc7f19d0cc1fa3",
+}
+
+
+class TestWriters:
+    @pytest.mark.parametrize("name", WRITER_SHA256)
+    def test_bytes_are_pinned(self, tmp_path, name):
+        path = tmp_path / "t.csv"
+        seeded_tables()[name].to_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            WRITER_SHA256[name]
+
+    @pytest.mark.parametrize("name", ["micro", "panel"])
+    def test_file_like_sink_gets_the_same_text(self, tmp_path, name):
+        table = seeded_tables()[name]
+        path = tmp_path / "t.csv"
+        table.to_csv(path)
+        buf = io.StringIO(newline="")
+        table.to_csv(buf)
+        assert buf.getvalue().encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("name", ["cells", "propensity", "iv", "micro"])
+    def test_quoted_labels_round_trip(self, tmp_path, name):
+        table = seeded_tables()[name]
+        path = tmp_path / "t.csv"
+        table.to_csv(path)
+        back = READERS[name].read(path)
+        got = back.x if name == "micro" else back.labels
+        want = [s.strip() for s in
+                (table.x if name == "micro" else table.labels)]
+        assert list(got) == want
+
+
+# ---------------------------------------------------------------------------
+# value checks and atomic writes
+# ---------------------------------------------------------------------------
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("name,col", [
+        ("cells", "p"), ("cells", "a"), ("cells", "w0"),
+        ("propensity", "mass"), ("propensity", "p"),
+        ("iv", "mass"), ("iv", "pz"), ("iv", "cov_dz"), ("iv", "pc"),
+        ("groups", "share"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejected(self, tmp_path, name, col, value):
+        r = READERS[name]
+        with pytest.raises(InvalidDesign, match="finite"):
+            read(tmp_path, r, r.text(with_value(r, 1, col, value)))
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_tau_rejected(self, tmp_path, value):
+        r = READERS["cells"]
+        with pytest.raises(InvalidDesign, match="tau values must be finite"):
+            read(tmp_path, r, r.text(with_value(r, 1, "tau", value)))
+
+    def test_nan_tau_means_missing(self, tmp_path):
+        r = READERS["cells"]
+        design = read(tmp_path, r, r.text(with_value(r, 1, "tau", "nan")))
+        assert np.isnan(design.tau[1]) and design.tau[0] == 0.5
+
+
+class TestOpenAtomic:
+    def test_failure_mid_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("earlier\n")
+        with pytest.raises(RuntimeError):
+            with open_atomic(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise RuntimeError("disk full")
+        assert path.read_text() == "earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_replaces_on_success(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("earlier\n")
+        with open_atomic(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_non_regular_files_are_written_directly(self):
+        with open_atomic(os.devnull) as fh:
+            fh.write("x")
+
+    def test_streams_are_written_directly(self):
+        buf = io.StringIO()
+        with open_atomic(buf) as fh:
+            fh.write("x")
+        assert buf.getvalue() == "x" and not buf.closed

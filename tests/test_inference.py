@@ -307,3 +307,19 @@ class TestBootstrapConfig:
         cfg = BootstrapConfig()
         assert cfg.c_n(1000) == pytest.approx(0.05, abs=1e-12)
         assert cfg.xi_n(8000) == pytest.approx(0.025, abs=1e-12)
+
+
+def test_broken_estimate_invariant_raises_without_assert(monkeypatch):
+    """The check survives `python -O`, which strips assert statements."""
+    from estimand_audit import inference
+    from estimand_audit.errors import InvariantViolation
+
+    real = inference._theta
+
+    def broken(joint, n, family):
+        p, a, w0, ok_a, ok_w0 = real(joint, n, family)
+        return p, a, w0, ok_a & False, ok_w0
+
+    monkeypatch.setattr(inference, "_theta", broken)
+    with pytest.raises(InvariantViolation):
+        estimate_design(benchmark_sample(), "ols_ate")
