@@ -391,22 +391,25 @@ def read_csv(path, columns, exact=False):
     or is a function (path, header) -> such a map.  Short rows are padded
     and long ones rejected, or with `exact` both are errors.  The bad
     value on the earliest row (leftmost on a tie) is reported."""
-    with open(path, newline="") as fh:
-        start = 0
-        for line in fh:
-            if not line.lstrip().startswith("#"):
-                break
-            start += 1
-        else:
-            raise SchemaError(f"{path}: no header row found")
-        reader = csv.reader(itertools.chain([line], fh))
-        header = [h.strip() for h in next(reader)]
-        if callable(columns):
-            columns = columns(path, header)
-        elif header != list(columns):
-            raise SchemaError(f"{path}: expected header {','.join(columns)!r}, "
-                              f"got {','.join(header)!r}")
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            start = 0
+            for line in fh:
+                if not line.lstrip().startswith("#"):
+                    break
+                start += 1
+            else:
+                raise SchemaError(f"{path}: no header row found")
+            reader = csv.reader(itertools.chain([line], fh))
+            header = [h.strip() for h in next(reader)]
+            if callable(columns):
+                columns = columns(path, header)
+            elif header != list(columns):
+                raise SchemaError(f"{path}: expected header {','.join(columns)!r}, "
+                                  f"got {','.join(header)!r}")
+            rows = list(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     width, late = len(header), None
     lines = range(start + 2, start + 2 + len(rows))
     # a blank row has a blank first field, so most files skip the row loop

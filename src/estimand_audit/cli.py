@@ -24,24 +24,16 @@ from .bounds import (
     ate_bounds_general,
     decompose_negative_weights,
 )
-from .cells import CellTable, moment_summary, normalize_sign, open_atomic
+from .cells import (CellTable, _BadField, moment_summary, normalize_sign,
+                    open_atomic, quoted, tau_col, write_csv)
 from .data_io import DgpSpec, load_micro, load_panel, panel_to_group_distribution, simulate
-from .designs import (
-    GroupDistribution,
-    IvCellTable,
-    PropensityTable,
-    iv_design,
-    ols_ate_design,
-    ols_att_design,
-    ols_atu_design,
-    tsls_design,
-    twfe_cdh_design,
-    twfe_h_design,
-)
-from .errors import AuditError, InfeasibleProgram, InvalidDesign, MissingTau
+from .designs import ESTIMAND_FAMILIES, GroupDistribution, IvCellTable, PropensityTable
+from .errors import (AuditError, InfeasibleProgram, InvalidDesign, InvalidSpec,
+                     MissingTau, ParseError)
 from .inference import (
+    ESTIMABLE,
     BootstrapConfig,
-    _untrimmed,
+    _plug_in,
     bootstrap_ci,
     estimate_design,
     estimate_uniform_validity,
@@ -55,24 +47,29 @@ from .validity import (
 
 SCHEMA_VERSION = 1
 
-MICRO_FAMILIES = ("ols_ate", "ols_att", "ols_atu", "iv", "tsls")
-PANEL_FAMILIES = ("twfe_cdh", "twfe_h")
 SOLVER_TOL = 1e-9
 _BRUTE_FORCE_LIMIT = 12
 
-_PROPENSITY_BUILDERS = {
-    "ols_ate": ols_ate_design,
-    "ols_att": ols_att_design,
-    "ols_atu": ols_atu_design,
+# The input flags of each primitive table type; a GroupDistribution is
+# read from --groups or counted from a --panel.
+_INPUT_FLAGS = {
+    PropensityTable: ("propensities",),
+    IvCellTable: ("iv_cells",),
+    GroupDistribution: ("groups", "panel"),
 }
-_IV_BUILDERS = {"iv": iv_design, "tsls": tsls_design}
+
+# Each family's public builder is bound here under its own name and
+# called through that binding, so that a wrapper set on this module
+# (perfbench's tracer wraps `cli.twfe_h_design`) sees every build.
+globals().update({fam.build.__name__: fam.build
+                  for fam in ESTIMAND_FAMILIES.values()})
 
 
 def _design_flags(sub):
     sub.add_argument("--design", metavar="CSV",
                      help="cell table CSV (label,p,a,w0,tau)")
     sub.add_argument("--family",
-                     choices=MICRO_FAMILIES + PANEL_FAMILIES,
+                     choices=tuple(ESTIMAND_FAMILIES),
                      help="build the design for this estimand family")
     sub.add_argument("--propensities", metavar="CSV",
                      help="propensity table for the ols_* families")
@@ -92,9 +89,10 @@ def _parse_tau(text, k):
         raise InvalidDesign(
             "--tau lists %d values but the design has %d cells" % (len(tokens), k)
         )
-    return np.array(
-        [float("nan") if t in ("", "nan") else float(t) for t in tokens]
-    )
+    try:
+        return tau_col(tokens, "--tau")
+    except _BadField as bad:
+        raise ParseError(bad.args[2]) from None
 
 
 def _build_design(args, parser):
@@ -105,28 +103,18 @@ def _build_design(args, parser):
         family, design = "design", CellTable.from_csv(args.design)
     else:
         family = args.family
-        if family in _PROPENSITY_BUILDERS:
-            if args.propensities is None:
-                parser.error("--family %s requires --propensities" % family)
-            design = _PROPENSITY_BUILDERS[family](
-                PropensityTable.from_csv(args.propensities)
-            )
-        elif family in _IV_BUILDERS:
-            if args.iv_cells is None:
-                parser.error("--family %s requires --iv-cells" % family)
-            design = _IV_BUILDERS[family](IvCellTable.from_csv(args.iv_cells))
+        fam = ESTIMAND_FAMILIES[family]
+        flags = _INPUT_FLAGS[fam.primitive]
+        given = [flag for flag in flags if getattr(args, flag) is not None]
+        if len(given) != 1:
+            need = " or ".join("--" + flag.replace("_", "-") for flag in flags)
+            parser.error("--family %s requires %s%s" % (
+                family, "exactly one of " if len(flags) > 1 else "", need))
+        if given == ["panel"]:
+            table = panel_to_group_distribution(load_panel(args.panel))
         else:
-            if (args.groups is None) == (args.panel is None):
-                parser.error(
-                    "--family %s requires exactly one of --groups or --panel"
-                    % family
-                )
-            if args.groups is not None:
-                gd = GroupDistribution.from_csv(args.groups)
-            else:
-                gd = panel_to_group_distribution(load_panel(args.panel))
-            builder = twfe_cdh_design if family == "twfe_cdh" else twfe_h_design
-            design = builder(gd)
+            table = fam.primitive.from_csv(getattr(args, given[0]))
+        design = globals()[fam.build.__name__](table)
     if args.tau is not None:
         design = design.with_tau(_parse_tau(args.tau, design.k))
     return family, design
@@ -308,7 +296,7 @@ def cmd_estimate(args, parser):
     cfg = BootstrapConfig(b=1, c0=args.c0, xi0=args.xi0)
     p_hat = estimate_uniform_validity(ed, cfg)
     c_n = cfg.c_n(ed.n)
-    trimmed = [ed.design.labels[i] for i in np.flatnonzero(~_untrimmed(ed, cfg))]
+    trimmed = [ed.design.labels[i] for i in np.flatnonzero(~_plug_in(ed, cfg)[0])]
     cells = [
         {
             "label": ed.design.labels[i],
@@ -366,7 +354,11 @@ def cmd_bootstrap(args, parser):
 
 def cmd_simulate(args, parser):
     with open(args.spec) as fh:
-        spec = DgpSpec.from_json_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise InvalidSpec("%s: malformed JSON: %s" % (args.spec, exc)) from None
+    spec = DgpSpec.from_json_dict(payload)
     data = simulate(spec, args.n, seed=args.seed)
     data.to_csv(sys.stdout if args.out is None else args.out)
     meta = {
@@ -380,7 +372,8 @@ def cmd_simulate(args, parser):
     return 0
 
 
-def _figure_rows(args, parser):
+def _figure_columns(args, parser):
+    """{column name: formatted values} of the requested figure."""
     family, design = _build_design(args, parser)
     sub = design.w0_mass > 0
     q = design.w0_mass[sub] / design.pop_w0
@@ -392,12 +385,8 @@ def _figure_rows(args, parser):
             xs = [repr(float(v)) for v in np.asarray(design.x)[sub]]
         else:
             xs = [design.labels[i] for i in np.flatnonzero(sub)]
-        header = "x,f_X,a_f_X_over_a_max"
-        rows = [
-            (xs[j], repr(float(q[j])), repr(float(a[j] * q[j] / a_max)))
-            for j in range(len(q))
-        ]
-        return header, rows
+        return {"x": xs, "f_X": [repr(float(v)) for v in q],
+                "a_f_X_over_a_max": [repr(float(v)) for v in a * q / a_max]}
     if design.tau is None:
         raise MissingTau("fig2 needs tau values in the design")
     mu0 = args.mu0 if args.mu0 is not None else moment_summary(design).mu
@@ -407,25 +396,22 @@ def _figure_rows(args, parser):
             if report.inclusion is not None else np.zeros(q.shape))
     alpha = "" if np.isnan(trim.alpha) else repr(float(trim.alpha))
     order = np.argsort(taus, kind="stable")
-    header = "tau,mass,kept,alpha"
-    rows = [
-        (repr(float(taus[j])), repr(float(q[j])), repr(float(kept[j])), alpha)
-        for j in order
-    ]
-    return header, rows
+    return {"tau": [repr(float(taus[j])) for j in order],
+            "mass": [repr(float(q[j])) for j in order],
+            "kept": [repr(float(kept[j])) for j in order],
+            "alpha": [alpha] * len(order)}
 
 
 def cmd_figure_data(args, parser):
-    header, rows = _figure_rows(args, parser)
-    text = header + "\n" + "".join(",".join(r) + "\n" for r in rows)
-    with open_atomic(sys.stdout if args.out is None else args.out) as fh:
-        fh.write(text)
+    columns = _figure_columns(args, parser)
+    write_csv(sys.stdout if args.out is None else args.out, {
+        name: quoted(col) if name == "x" else col
+        for name, col in columns.items()})
     if args.json is not None:
-        cols = header.split(",")
         payload = {
             "schema_version": SCHEMA_VERSION,
             "which": args.which,
-            "rows": [dict(zip(cols, r)) for r in rows],
+            "rows": [dict(zip(columns, r)) for r in zip(*columns.values())],
         }
         _write_json(args.json, payload)
     return 0
@@ -476,7 +462,7 @@ def build_parser():
                                      "from micro data")
     p_estimate.add_argument("--data", required=True, metavar="CSV",
                             help="micro sample (x,d[,z][,y])")
-    p_estimate.add_argument("--family", required=True, choices=MICRO_FAMILIES)
+    p_estimate.add_argument("--family", required=True, choices=ESTIMABLE)
     p_estimate.add_argument("--c0", type=float, default=0.5,
                             help="trimming scale constant")
     p_estimate.add_argument("--xi0", type=float, default=0.5,
@@ -486,7 +472,7 @@ def build_parser():
     p_boot = sub.add_parser("bootstrap", parents=[common],
                             help="one-sided bootstrap CI for the share")
     p_boot.add_argument("--data", required=True, metavar="CSV")
-    p_boot.add_argument("--family", required=True, choices=MICRO_FAMILIES)
+    p_boot.add_argument("--family", required=True, choices=ESTIMABLE)
     p_boot.add_argument("--B", type=int, default=400,
                         help="bootstrap replications")
     p_boot.add_argument("--alpha", type=float, default=0.05)
@@ -519,7 +505,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except AuditError as exc:
+    except (AuditError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

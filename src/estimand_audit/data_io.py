@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cells import (
+    _as_float_array,
     _BadField,
+    _masses,
     _store,
     binary_col,
     float_col,
@@ -32,19 +34,14 @@ from .cells import (
     write_csv,
 )
 from .designs import (
+    ESTIMAND_FAMILIES,
     GroupDistribution,
     IvCellTable,
     PropensityTable,
     adoption_col,
-    iv_design,
-    ols_ate_design,
-    ols_att_design,
-    ols_atu_design,
-    tsls_design,
-    twfe_cdh_design,
-    twfe_h_design,
 )
 from .errors import (
+    InvalidDesign,
     InvalidSpec,
     SchemaError,
     UnbalancedPanel,
@@ -90,6 +87,8 @@ class MicroSample:
             y = np.asarray(y, dtype=float)
             if y.shape != x.shape:
                 raise SchemaError("y must match the sample length")
+            if not np.isfinite(y).all():
+                raise SchemaError("outcome values must be finite")
         _store(self, x=x, d=d, z=z, y=y)
 
     @property
@@ -248,18 +247,26 @@ class DgpSpec:
     groups: tuple = ()
 
     def __post_init__(self):
+        try:
+            self._validate()
+        except InvalidDesign as exc:  # from the shared checks in `cells`
+            raise InvalidSpec(str(exc)) from None
+
+    def _validate(self):
         if self.family not in FAMILIES:
             raise InvalidSpec(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
+        _as_float_array([self.noise_scale, self.trend_slope] + [
+            v for c in self.cells for v in (c.p, c.pz, c.pc, c.pa, c.tau, c.baseline)
+            if v is not None] + [v for g in self.groups for v in (g.tau, g.baseline)],
+            "DGP parameter")
         if self.noise_scale < 0:
             raise InvalidSpec("noise_scale must be nonnegative")
         if self.family in ("unconfoundedness", "iv"):
             if not self.cells:
                 raise InvalidSpec("cell definitions are required")
-            masses = [c.mass for c in self.cells]
-            if min(masses) <= 0 or abs(sum(masses) - 1.0) > 1e-9:
-                raise InvalidSpec("cell masses must be positive and sum to 1")
+            _masses([c.mass for c in self.cells], "cell mass")
             for c in self.cells:
                 if self.family == "unconfoundedness":
                     if c.p is None or not 0 < c.p < 1:
@@ -281,9 +288,7 @@ class DgpSpec:
                 raise InvalidSpec("staggered family needs t >= 2")
             if not self.groups:
                 raise InvalidSpec("group definitions are required")
-            shares = [g.share for g in self.groups]
-            if min(shares) <= 0 or abs(sum(shares) - 1.0) > 1e-9:
-                raise InvalidSpec("group shares must be positive and sum to 1")
+            _masses([g.share for g in self.groups], "group share")
             for gs in self.groups:
                 if not math.isinf(gs.g) and not 2 <= gs.g <= self.t:
                     raise InvalidSpec(
@@ -321,21 +326,15 @@ class DgpSpec:
     def true_design(self, estimand):
         """Population cell table, with the true CATEs attached, for the
         named estimand applied to this DGP."""
-        builders = {
-            "ols_ate": ("unconfoundedness", ols_ate_design, "propensity_table"),
-            "ols_att": ("unconfoundedness", ols_att_design, "propensity_table"),
-            "ols_atu": ("unconfoundedness", ols_atu_design, "propensity_table"),
-            "iv": ("iv", iv_design, "iv_table"),
-            "tsls": ("iv", tsls_design, "iv_table"),
-            "twfe_cdh": ("staggered_did", twfe_cdh_design, "group_distribution"),
-            "twfe_h": ("staggered_did", twfe_h_design, "group_distribution"),
-        }
-        if estimand not in builders:
+        family = ESTIMAND_FAMILIES.get(estimand)
+        if family is None:
             raise InvalidSpec(f"unknown estimand {estimand!r}")
-        family, build, source = builders[estimand]
-        self._require(family)
-        design = build(getattr(self, source)())
-        if family == "staggered_did":
+        self._require(family.dgp)
+        primitive = {"unconfoundedness": self.propensity_table,
+                     "iv": self.iv_table,
+                     "staggered_did": self.group_distribution}[self.family]
+        design = family.build(primitive())
+        if self.family == "staggered_did":
             tau_by_g = {g.g: g.tau for g in self.groups}
             tau = [tau_by_g.get(g, math.nan) for g in design.groups]
         else:

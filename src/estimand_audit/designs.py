@@ -38,6 +38,8 @@ from .errors import (
 )
 
 __all__ = [
+    "ESTIMAND_FAMILIES",
+    "EstimandFamily",
     "GroupDistribution",
     "IvCellTable",
     "PanelCellTable",
@@ -230,44 +232,45 @@ def _g_str(g):
 # ---------------------------------------------------------------------------
 
 
+def _column_design(table, family):
+    """Design whose cells are the rows of `table`, weighted by `family`."""
+    a, w0 = ESTIMAND_FAMILIES[family].weights(
+        **{name: getattr(table, name) for name in table._COLUMNS[1:]})
+    # of these families only the complier share (w0 = pc) can vanish
+    if float(table.mass @ w0) <= 0:
+        raise NoCompliers("no cell has a positive complier share")
+    return CellTable(table.labels, table.mass, a, w0,
+                     x=_infer_numeric_labels(table.labels))
+
+
 def ols_ate_design(pt):
     """Full-population linear regression of Y on (1, D, X): averages CATEs
     with the conditional treatment variance p(x)(1-p(x))."""
-    ones = np.ones(len(pt.labels))
-    return CellTable(pt.labels, pt.mass, pt.p * (1 - pt.p), ones,
-                     x=_infer_numeric_labels(pt.labels))
+    return _column_design(pt, "ols_ate")
 
 
 def ols_att_design(pt):
     """Same regression read as an estimand over the treated subpopulation:
     w0 = p(x), weights 1-p(x)."""
-    return CellTable(pt.labels, pt.mass, 1.0 - pt.p, pt.p,
-                     x=_infer_numeric_labels(pt.labels))
+    return _column_design(pt, "ols_att")
 
 
 def ols_atu_design(pt):
     """Untreated-subpopulation reading; mirror of the treated case under
     the relabeling D -> 1-D."""
-    return CellTable(pt.labels, pt.mass, pt.p, 1.0 - pt.p,
-                     x=_infer_numeric_labels(pt.labels))
+    return _column_design(pt, "ols_atu")
 
 
 def iv_design(iv):
     """Noninteracted instrumental-variables estimand over compliers:
     w0 = complier share, weights var(Z|X) = pz(1-pz)."""
-    if float(iv.mass @ iv.pc) <= 0:
-        raise NoCompliers("no cell has a positive complier share")
-    return CellTable(iv.labels, iv.mass, iv.pz * (1.0 - iv.pz), iv.pc,
-                     x=_infer_numeric_labels(iv.labels))
+    return _column_design(iv, "iv")
 
 
 def tsls_design(iv):
     """Two-stage least squares with interacted first stage: weights
     |cov(D,Z|X)| over the complier subpopulation."""
-    if float(iv.mass @ iv.pc) <= 0:
-        raise NoCompliers("no cell has a positive complier share")
-    return CellTable(iv.labels, iv.mass, np.abs(iv.cov_dz), iv.pc,
-                     x=_infer_numeric_labels(iv.labels))
+    return _column_design(iv, "tsls")
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +359,38 @@ def twfe_gb_weights(gd):
             val += p_later * (1.0 - ed_later / edk)
         out.append(val)
     return np.asarray(out)
+
+
+# ---------------------------------------------------------------------------
+# the estimand families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EstimandFamily:
+    """An estimand family: the table type its design is built from, the
+    DgpSpec family it is defined on, its public builder and — when its
+    cells are the table's rows — its weights: the table's columns after
+    ``mass`` (keywords, any leading axes) -> arrays ``(a, w0)``."""
+
+    primitive: type
+    dgp: str
+    build: object
+    weights: object = None
+
+
+ESTIMAND_FAMILIES = {
+    "ols_ate": EstimandFamily(PropensityTable, "unconfoundedness", ols_ate_design,
+                              lambda p: (p * (1 - p), np.ones_like(p))),
+    "ols_att": EstimandFamily(PropensityTable, "unconfoundedness", ols_att_design,
+                              lambda p: (1.0 - p, p)),
+    "ols_atu": EstimandFamily(PropensityTable, "unconfoundedness", ols_atu_design,
+                              lambda p: (p, 1.0 - p)),
+    "iv": EstimandFamily(IvCellTable, "iv", iv_design,
+                         lambda pz, cov_dz, pc: (pz * (1.0 - pz), pc)),
+    "tsls": EstimandFamily(IvCellTable, "iv", tsls_design,
+                           lambda pz, cov_dz, pc: (np.abs(cov_dz), pc)),
+    "twfe_cdh": EstimandFamily(GroupDistribution, "staggered_did",
+                               twfe_cdh_design),
+    "twfe_h": EstimandFamily(GroupDistribution, "staggered_did", twfe_h_design),
+}

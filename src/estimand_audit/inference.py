@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .cells import CellTable, _store, cell_table, rng_stream
+from .designs import ESTIMAND_FAMILIES, IvCellTable, PropensityTable
 from .errors import (
     AllCellsTrimmed,
     DegenerateWeights,
@@ -35,8 +36,6 @@ from .errors import (
     SchemaError,
 )
 from .validity import check_uniform_existence
-
-FAMILIES = ("ols_ate", "ols_att", "ols_atu", "iv", "tsls")
 
 _MAX_REDRAW_ROUNDS = 50
 
@@ -108,9 +107,9 @@ class EstimatedDesign:
 class LimitFunctional:
     """Directional derivative of the estimated share.
 
-    Acts on a perturbation ``z`` of shape ``(3, k)`` whose rows perturb
-    the cell weights, the membership indicators, and the cell masses, in
-    that order.  Linear in all coordinates except the weight coordinates
+    Acts on a perturbation ``z`` of shape ``(3, k)``, or a batch of them
+    ``(m, 3, k)``, whose rows perturb the cell weights, the membership
+    indicators, and the cell masses, in that order.  Linear in all coordinates except the weight coordinates
     of the near-maximizer cells in `psi_set`, which enter through a max.
     """
 
@@ -167,63 +166,58 @@ class BootstrapResult:
         }
 
 
-def _theta_regression(joint, n, family):
-    """Cell frequencies -> (p, a, w0, ok_a, ok_w0) for the OLS families.
-
-    `joint` has shape ``(..., k, 2)``; leading axes vectorize over
-    bootstrap replications.  Coordinates whose within-cell frequencies
-    are undefined (an empty cell or arm) are flagged in the masks and
-    left at arbitrary finite values.
-    """
-    joint = np.asarray(joint, dtype=float)
+def _propensity_columns(joint, n):
+    """Counts ``(..., k, 2)`` by treatment -> cell masses and the
+    PropensityTable column ``p`` = P(D=1|X)."""
     rows = joint.sum(axis=-1)
-    p = rows / n
     px = joint[..., 1] / np.maximum(rows, 1.0)
-    ok = (joint > 0).all(axis=-1)
-    if family == "ols_ate":
-        a = px * (1.0 - px)
-        w0 = np.ones_like(p)
-        ok_w0 = np.ones(ok.shape, dtype=bool)
-        return p, a, w0, ok, ok_w0
-    if family == "ols_att":
-        return p, 1.0 - px, px, ok, ok
-    return p, px, 1.0 - px, ok, ok
+    return rows / n, {"p": np.where((joint > 0).all(axis=-1), px, np.nan)}
 
 
-def _theta_instrumented(joint, n, family):
-    """Cell frequencies -> estimates for the instrumented families.
-
-    `joint` has shape ``(..., k, 2, 2)`` indexed by (z, d).  The
-    membership estimate is the first-stage difference
-    ``P(D=1|Z=1) - P(D=1|Z=0)``, clipped at zero when sampling noise
-    turns it negative.
-    """
-    joint = np.asarray(joint, dtype=float)
+def _instrument_columns(joint, n):
+    """Counts ``(..., k, 2, 2)`` by (z, d) -> cell masses and the
+    IvCellTable columns.  The complier share is the first-stage
+    difference ``P(D=1|Z=1) - P(D=1|Z=0)``, clipped at zero when sampling
+    noise turns it negative."""
     nz = joint.sum(axis=-1)
     rows = nz.sum(axis=-1)
-    p = rows / n
     safe_rows = np.maximum(rows, 1.0)
+    pz = nz[..., 1] / safe_rows
+    d_tot = joint[..., :, 1].sum(axis=-1)
+    cov = joint[..., 1, 1] / safe_rows - (d_tot / safe_rows) * pz
     pd1 = joint[..., 1, 1] / np.maximum(nz[..., 1], 1.0)
     pd0 = joint[..., 0, 1] / np.maximum(nz[..., 0], 1.0)
-    w0 = np.clip(pd1 - pd0, 0.0, 1.0)
-    ok_w0 = (nz > 0).all(axis=-1)
-    ok_a = rows > 0
-    if family == "iv":
-        pz = nz[..., 1] / safe_rows
-        a = pz * (1.0 - pz)
-    else:
-        d_tot = joint[..., :, 1].sum(axis=-1)
-        cov = joint[..., 1, 1] / safe_rows - (d_tot / safe_rows) * (
-            nz[..., 1] / safe_rows
-        )
-        a = np.abs(cov)
-    return p, a, w0, ok_a, ok_w0
+    pc = np.clip(pd1 - pd0, 0.0, 1.0)
+    seen = rows > 0
+    return rows / n, {"pz": np.where(seen, pz, np.nan),
+                      "cov_dz": np.where(seen, cov, np.nan),
+                      "pc": np.where((nz > 0).all(axis=-1), pc, np.nan)}
+
+
+# Primitive tables that micro data estimate: the sample columns whose
+# values index the count axes after the cell axis, and the estimator of
+# the table's columns from those counts.
+_FROM_COUNTS = {
+    PropensityTable: (("d",), _propensity_columns),
+    IvCellTable: (("z", "d"), _instrument_columns),
+}
+
+ESTIMABLE = tuple(name for name, fam in ESTIMAND_FAMILIES.items()
+                  if fam.primitive in _FROM_COUNTS)
 
 
 def _theta(joint, n, family):
-    if family in ("iv", "tsls"):
-        return _theta_instrumented(joint, n, family)
-    return _theta_regression(joint, n, family)
+    """Cell counts -> (p, a, w0, ok_a, ok_w0) for a family in ESTIMABLE.
+
+    Leading axes of `joint` vectorize over bootstrap replications.  A
+    column whose within-cell frequency is undefined (an empty cell or
+    arm) is NaN, so the weights and memberships built from it are
+    flagged False in `ok_a` and `ok_w0`.
+    """
+    fam = ESTIMAND_FAMILIES[family]
+    p, columns = _FROM_COUNTS[fam.primitive][1](np.asarray(joint, dtype=float), n)
+    a, w0 = fam.weights(**columns)
+    return p, a, w0, ~np.isnan(a), ~np.isnan(w0)
 
 
 def estimate_design(sample, family):
@@ -238,9 +232,9 @@ def estimate_design(sample, family):
     ----------
     sample : MicroSample
         Rows with covariate label `x`, treatment `d`, and — for the
-        ``iv`` / ``tsls`` families — instrument `z`.
+        families built from an IvCellTable — instrument `z`.
     family : str
-        One of ``ols_ate``, ``ols_att``, ``ols_atu``, ``iv``, ``tsls``.
+        A name in ``ESTIMABLE``.
 
     Returns
     -------
@@ -255,57 +249,60 @@ def estimate_design(sample, family):
     NoCompliers
         If every cell's estimated complier share is zero.
     """
-    if family not in FAMILIES:
+    if family not in ESTIMABLE:
         raise ValueError(
-            "unknown family %r; expected one of %s" % (family, ", ".join(FAMILIES))
+            "unknown family %r; expected one of %s" % (family, ", ".join(ESTIMABLE))
         )
+    arms = _FROM_COUNTS[ESTIMAND_FAMILIES[family].primitive][0]
     labels, inv = np.unique(np.asarray(sample.x), return_inverse=True)
     k = labels.shape[0]
     n = sample.n
-    d = np.asarray(sample.d, dtype=np.int64)
-    if family in ("iv", "tsls"):
-        if sample.z is None:
-            raise SchemaError("family %r requires an instrument column z" % family)
-        z = np.asarray(sample.z, dtype=np.int64)
-        joint = np.zeros((k, 2, 2), dtype=np.int64)
-        np.add.at(joint, (inv, z, d), 1)
-        arm_counts = joint.sum(axis=-1)
-        bad = np.flatnonzero((arm_counts == 0).any(axis=-1))
-        if bad.size:
-            raise EmptyCellArm(
-                "cell %r has rows for only one instrument arm" % str(labels[bad[0]])
-            )
-    else:
-        joint = np.zeros((k, 2), dtype=np.int64)
-        np.add.at(joint, (inv, d), 1)
-        bad = np.flatnonzero((joint == 0).any(axis=-1))
-        if bad.size:
-            raise EmptyCellArm(
-                "cell %r has rows for only one treatment arm" % str(labels[bad[0]])
-            )
+    columns = [getattr(sample, arm) for arm in arms]
+    if any(c is None for c in columns):
+        raise SchemaError("family %r requires an instrument column z" % family)
+    joint = np.zeros((k,) + (2,) * len(arms), dtype=np.int64)
+    np.add.at(joint, (inv, *(np.asarray(c, dtype=np.int64) for c in columns)), 1)
+    # both values of the first arm must occur in every cell
+    bad = np.flatnonzero((joint.reshape(k, 2, -1).sum(axis=-1) == 0).any(axis=-1))
+    if bad.size:
+        raise EmptyCellArm("cell %r has rows for only one %s arm" % (
+            str(labels[bad[0]]), "instrument" if arms[0] == "z" else "treatment"))
     p, a, w0, ok_a, ok_w0 = _theta(joint, n, family)
     if not (ok_a.all() and ok_w0.all()):
         raise InvariantViolation("a cell with both arms has an undefined estimate")
-    try:
-        design = cell_table([str(v) for v in labels], p, a, w0=w0)
-    except InvalidDesign:
-        if family in ("iv", "tsls"):
-            raise NoCompliers(
-                "estimated complier share is zero in every cell"
-            ) from None
-        raise
+    # of these families only the complier share can vanish in every cell
+    if float(p @ w0) <= 0:
+        raise NoCompliers("estimated complier share is zero in every cell")
+    design = cell_table([str(v) for v in labels], p, a, w0=w0)
     counts = joint.reshape(k, -1).sum(axis=1)
     return EstimatedDesign(design=design, counts=counts, joint=joint, n=n, family=family)
 
 
-def _untrimmed(ed, cfg):
-    keep = ed.design.w0 > cfg.c_n(ed.n)
+def _plug_in(ed, cfg):
+    """The untrimmed cells, the share estimate and its directional
+    derivative, from one evaluation of the trimmed maximum weight."""
+    d = ed.design
+    keep = d.w0 > cfg.c_n(ed.n)
     if not keep.any():
         raise AllCellsTrimmed(
             "every cell's estimated membership is at or below the trimming "
             "threshold %.4g" % cfg.c_n(ed.n)
         )
-    return keep
+    a_max = float(d.a[keep].max())
+    if a_max <= 0.0:
+        raise DegenerateWeights("largest untrimmed weight is not positive")
+    num = float(np.sum(d.p * d.a * d.w0))
+    den = float(np.sum(d.p * d.w0))
+    e_a = num / den
+    scale = den * a_max
+    lf = LimitFunctional(
+        coef_a=d.w0 * d.p / scale,
+        coef_w0=(d.a - e_a) * d.p / scale,
+        coef_p=(d.a - e_a) * d.w0 / scale,
+        coef_max=e_a / a_max**2,
+        psi_set=tuple(np.flatnonzero(keep & (d.a >= a_max - cfg.xi_n(ed.n)))),
+    )
+    return keep, num / (den * a_max), lf
 
 
 def estimate_uniform_validity(ed, cfg):
@@ -322,14 +319,7 @@ def estimate_uniform_validity(ed, cfg):
     AllCellsTrimmed
         If no cell clears the trimming threshold.
     """
-    keep = _untrimmed(ed, cfg)
-    d = ed.design
-    a_max = float(d.a[keep].max())
-    if a_max <= 0.0:
-        raise DegenerateWeights("largest untrimmed weight is not positive")
-    num = float(np.sum(d.p * d.a * d.w0))
-    den = float(np.sum(d.p * d.w0))
-    return num / (den * a_max)
+    return _plug_in(ed, cfg)[1]
 
 
 def psi_hat_build(ed, cfg):
@@ -342,25 +332,7 @@ def psi_hat_build(ed, cfg):
     ``xi_n`` of the untrimmed maximum.  Restricting the set to untrimmed
     cells matches the trimmed max used by the point estimate.
     """
-    keep = _untrimmed(ed, cfg)
-    d = ed.design
-    a_max = float(d.a[keep].max())
-    if a_max <= 0.0:
-        raise DegenerateWeights("largest untrimmed weight is not positive")
-    den = float(np.sum(d.p * d.w0))
-    e_a = float(np.sum(d.p * d.a * d.w0)) / den
-    scale = den * a_max
-    coef_a = d.w0 * d.p / scale
-    coef_w0 = (d.a - e_a) * d.p / scale
-    coef_p = (d.a - e_a) * d.w0 / scale
-    psi_set = np.flatnonzero(keep & (d.a >= a_max - cfg.xi_n(ed.n)))
-    return LimitFunctional(
-        coef_a=coef_a,
-        coef_w0=coef_w0,
-        coef_p=coef_p,
-        coef_max=e_a / a_max**2,
-        psi_set=tuple(psi_set),
-    )
+    return _plug_in(ed, cfg)[2]
 
 
 def psi_apply(lf, z):
@@ -369,18 +341,25 @@ def psi_apply(lf, z):
     Parameters
     ----------
     lf : LimitFunctional
-    z : array_like, shape (3, k)
+    z : array_like, shape (3, k) or (m, 3, k)
         Rows perturb the weights, the membership indicators, and the
-        cell masses, in that order.
+        cell masses, in that order; a leading axis is a batch of m
+        perturbations.
+
+    Returns
+    -------
+    float, or an (m,) array for a batch
     """
     z = np.asarray(z, dtype=float)
-    if z.shape != (3, lf.k):
+    if z.ndim not in (2, 3) or z.shape[-2:] != (3, lf.k):
         raise DimensionMismatch(
-            "expected a perturbation of shape (3, %d), got %s" % (lf.k, z.shape)
+            "expected a perturbation of shape (3, %d) or (m, 3, %d), got %s"
+            % (lf.k, lf.k, z.shape)
         )
-    za, zw, zp = z
-    kink = float(za[list(lf.psi_set)].max())
-    return float(za @ lf.coef_a - lf.coef_max * kink + zw @ lf.coef_w0 + zp @ lf.coef_p)
+    za, zw, zp = np.moveaxis(z, -2, 0)
+    kink = za[..., list(lf.psi_set)].max(axis=-1)
+    value = za @ lf.coef_a - lf.coef_max * kink + zw @ lf.coef_w0 + zp @ lf.coef_p
+    return float(value) if z.ndim == 2 else value
 
 
 def bootstrap_ci(sample, family, cfg):
@@ -421,15 +400,13 @@ def bootstrap_ci(sample, family, cfg):
             diagnostics={},
             status="no_representation",
         )
-    p_hat = estimate_uniform_validity(ed, cfg)
-    lf = psi_hat_build(ed, cfg)
+    keep, p_hat, lf = _plug_in(ed, cfg)
     n = ed.n
     c = cfg.c_n(n)
-    keep = ed.design.w0 > c
-    p0, a0, w00 = ed.design.p, ed.design.a, ed.design.w0
-    psi_idx = list(lf.psi_set)
-    in_psi = np.zeros(ed.design.k, dtype=bool)
-    in_psi[psi_idx] = True
+    d = ed.design
+    theta0 = np.stack((d.a, d.w0, d.p))
+    in_psi = np.zeros(d.k, dtype=bool)
+    in_psi[list(lf.psi_set)] = True
 
     rng = rng_stream(cfg.seed, "bootstrap", family)
     pvals = ed.joint.ravel() / n
@@ -444,21 +421,13 @@ def bootstrap_ci(sample, family, cfg):
         m = pending.shape[0]
         cnt = rng.multinomial(n, pvals, size=m).reshape((m,) + ed.joint.shape)
         p, a, w0, ok_a, ok_w0 = _theta(cnt, n, family)
-        a = np.where(ok_a, a, a0)
-        w0 = np.where(ok_w0, w0, w00)
+        a = np.where(ok_a, a, d.a)
+        w0 = np.where(ok_w0, w0, d.w0)
         untrimmed = w0 > c
         good = untrimmed.any(axis=1)
         if good.any():
-            za = root_n * (a[good] - a0)
-            zw = root_n * (w0[good] - w00)
-            zp = root_n * (p[good] - p0)
-            kink = za[:, psi_idx].max(axis=1)
-            draws[pending[good]] = (
-                za @ lf.coef_a
-                - lf.coef_max * kink
-                + zw @ lf.coef_w0
-                + zp @ lf.coef_p
-            )
+            z = root_n * (np.stack((a, w0, p), axis=1)[good] - theta0)
+            draws[pending[good]] = psi_apply(lf, z)
             fallback += int((~ok_a[good]).sum() + (~ok_w0[good]).sum())
             masked = np.where(untrimmed[good], a[good], -np.inf)
             unstable += int((~in_psi[masked.argmax(axis=1)]).sum())
@@ -475,7 +444,7 @@ def bootstrap_ci(sample, family, cfg):
     q_alpha = float(np.quantile(draws, cfg.alpha))
     upper = min(1.0, max(0.0, p_hat - q_alpha / root_n))
     diagnostics = {
-        "trimmed_cells": [ed.design.labels[i] for i in np.flatnonzero(~keep)],
+        "trimmed_cells": [d.labels[i] for i in np.flatnonzero(~keep)],
         "fallback_coordinates": fallback,
         "degenerate_redraws": redraws,
         "max_cell_instability": unstable / cfg.b,

@@ -13,6 +13,7 @@ Frozen orientation values used below:
   representation exists there.
 """
 
+import csv
 import json
 from pathlib import Path
 
@@ -378,6 +379,19 @@ class TestFigureData:
         assert all(float(r[2]) == 1.0 for r in rows)
         assert all(r[3] == "" for r in rows)
 
+    def test_label_with_comma_is_quoted(self, tmp_path):
+        src = tmp_path / "labels.csv"
+        src.write_text('label,p,a,w0,tau\n"a,b",0.5,0.25,1.0,\nc,0.5,0.5,1.0,\n')
+        out, report = tmp_path / "fig1.csv", tmp_path / "fig1.json"
+        assert run("figure-data", "--which", "fig1", "--design", src,
+                   "--out", out, "--json", report) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["x", "f_X", "a_f_X_over_a_max"],
+                        ["a,b", "0.5", "0.25"], ["c", "0.5", "0.5"]]
+        assert out.read_bytes().count(b"\r\n") == 3
+        assert json.loads(report.read_text())["rows"][0]["x"] == "a,b"
+
     def test_fig2_requires_tau(self, tmp_path, capsys):
         src = tmp_path / "bench.csv"
         src.write_text(BENCH_CSV)
@@ -409,6 +423,47 @@ def exits_with_error(capsys, *args):
     code = run(*args)
     err = capsys.readouterr().err
     return code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+BAD_INPUTS = {
+    "missing-design": ({}, ("audit", "--design", "none.csv"), "none.csv"),
+    "missing-data": ({}, ("estimate", "--family", "ols_ate", "--data",
+                          "none.csv"), "none.csv"),
+    "missing-spec": ({}, ("simulate", "--spec", "none.json", "--n", 5),
+                     "none.json"),
+    "directory": ({}, ("audit", "--design", "."), "directory"),
+    "json-in-missing-dir": ({"d.csv": BENCH_CSV}, (
+        "audit", "--design", "d.csv", "--json", "nodir/x.json"), "nodir"),
+    "not-utf8": ({"d.csv": b"label,p,a,w0,tau\n\xff,0.2,0.24,1.0,\n"
+                           b"2,0.8,0.09,1.0,\n"}, ("audit", "--design", "d.csv"),
+                 "d.csv"),
+    "huge-field": ({"d.csv": "label,p,a,w0,tau\n%s,0.2,0.24,1.0,\n"
+                             "2,0.8,0.09,1.0,\n" % ("x" * (1 << 17 | 1))},
+                   ("audit", "--design", "d.csv"), "d.csv"),
+    "bad-tau": ({"d.csv": BENCH_CSV}, ("audit", "--design", "d.csv",
+                                       "--tau", "1,abc"), "'abc'"),
+    "bad-spec-json": ({"s.json": '{"family": '},
+                      ("simulate", "--spec", "s.json", "--n", 5), "s.json"),
+}
+
+
+@pytest.mark.parametrize("files,args,named", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, monkeypatch,
+                                                     capsys, files, args,
+                                                     named):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    assert run(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestMalformedGroups:

@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, panel transforms, and the synthetic DGP
 simulator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -243,6 +244,53 @@ class TestDgpSpec:
         assert isinstance(gd, GroupDistribution)
         rep = uniform_internal_validity(spec.true_design("twfe_h"))
         assert rep.p_internal == pytest.approx(1.0, abs=1e-12)
+
+
+class TestNonFiniteSpecValues:
+    """A NaN or infinite DGP parameter is an InvalidSpec, not a crash in
+    `simulate` or an all-NaN outcome column."""
+
+    @pytest.mark.parametrize("make,path,value", [
+        (benchmark_spec, ("cells", 0, "mass"), math.nan),
+        (benchmark_spec, ("cells", 1, "p"), math.nan),
+        (benchmark_spec, ("cells", 0, "tau"), math.inf),
+        (benchmark_spec, ("cells", 1, "baseline"), -math.inf),
+        (benchmark_spec, ("noise_scale",), math.nan),
+        (benchmark_spec, ("noise_scale",), math.inf),
+        (iv_spec, ("cells", 0, "pz"), math.nan),
+        (iv_spec, ("cells", 1, "pc"), math.nan),
+        (iv_spec, ("cells", 0, "pa"), math.nan),
+        (staggered_spec, ("groups", 1, "share"), math.nan),
+        (staggered_spec, ("groups", 0, "tau"), math.inf),
+        (staggered_spec, ("trend_slope",), math.nan),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_rejected(self, make, path, value):
+        payload = make().to_json_dict()
+        *parents, leaf = path
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+        with pytest.raises(InvalidSpec):
+            DgpSpec.from_json_dict(payload)
+
+    def test_nan_mass_never_reaches_the_sampler(self):
+        spec = benchmark_spec()
+        with pytest.raises(InvalidSpec, match="finite"):
+            DgpSpec(spec.family, cells=(
+                dataclasses.replace(spec.cells[0], mass=math.nan), spec.cells[1]))
+
+
+class TestNonFiniteOutcomes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_micro_sample_rejects(self, bad):
+        with pytest.raises(SchemaError, match="finite"):
+            MicroSample(x=["1", "2"], d=[0, 1], y=[0.5, bad])
+
+    def test_csv_outcome_rejected(self, tmp_path):
+        src = write(tmp_path / "s.csv", "x,d,y\n1,0,0.5\n1,1,nan\n")
+        with pytest.raises(SchemaError):
+            load_micro(src)
 
 
 class TestSimulate:
