@@ -14,6 +14,7 @@ the target subpopulation.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,6 +64,28 @@ _INPUT_FLAGS = {
 # (perfbench's tracer wraps `cli.twfe_h_design`) sees every build.
 globals().update({fam.build.__name__: fam.build
                   for fam in ESTIMAND_FAMILIES.values()})
+
+
+def _checked(kind, ok, expected):
+    """An argparse type: `kind(text)`, accepted only when `ok` holds, so a
+    bad value is a usage error (exit 2) at its option."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(
+                "expected %s, got %r" % (expected, text))
+        return value
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "a finite number")
+_positive = _checked(float, lambda v: 0 < v < math.inf,
+                     "a finite positive number")
+_level = _checked(float, lambda v: 0 < v < 1, "a number strictly inside (0, 1)")
+_count = _checked(int, lambda v: v > 0, "a positive integer")
 
 
 def _design_flags(sub):
@@ -437,23 +460,23 @@ def build_parser():
     p_audit = sub.add_parser("audit", parents=[common],
                              help="full design audit")
     _design_flags(p_audit)
-    p_audit.add_argument("--mu0", type=float, default=None,
+    p_audit.add_argument("--mu0", type=_finite, default=None,
                          help="estimand value for the fixed-tau audit "
                               "(default: the design's own estimand)")
-    p_audit.add_argument("--b-lo", type=float, default=None,
+    p_audit.add_argument("--b-lo", type=_finite, default=None,
                          help="lower support bound for ATE bounds")
-    p_audit.add_argument("--b-hi", type=float, default=None,
+    p_audit.add_argument("--b-hi", type=_finite, default=None,
                          help="upper support bound for ATE bounds")
     p_audit.set_defaults(func=cmd_audit)
 
     p_bounds = sub.add_parser("bounds", parents=[common],
                               help="ATE bounds from the representable share")
     _design_flags(p_bounds)
-    p_bounds.add_argument("--mu", type=float, default=None,
+    p_bounds.add_argument("--mu", type=_finite, default=None,
                           help="estimand value, if the design carries no tau")
-    p_bounds.add_argument("--b-lo", type=float, required=True,
+    p_bounds.add_argument("--b-lo", type=_finite, required=True,
                           help="lower support bound for the effects")
-    p_bounds.add_argument("--b-hi", type=float, required=True,
+    p_bounds.add_argument("--b-hi", type=_finite, required=True,
                           help="upper support bound for the effects")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -463,9 +486,9 @@ def build_parser():
     p_estimate.add_argument("--data", required=True, metavar="CSV",
                             help="micro sample (x,d[,z][,y])")
     p_estimate.add_argument("--family", required=True, choices=ESTIMABLE)
-    p_estimate.add_argument("--c0", type=float, default=0.5,
+    p_estimate.add_argument("--c0", type=_positive, default=0.5,
                             help="trimming scale constant")
-    p_estimate.add_argument("--xi0", type=float, default=0.5,
+    p_estimate.add_argument("--xi0", type=_positive, default=0.5,
                             help="near-maximizer scale constant")
     p_estimate.set_defaults(func=cmd_estimate)
 
@@ -473,11 +496,11 @@ def build_parser():
                             help="one-sided bootstrap CI for the share")
     p_boot.add_argument("--data", required=True, metavar="CSV")
     p_boot.add_argument("--family", required=True, choices=ESTIMABLE)
-    p_boot.add_argument("--B", type=int, default=400,
+    p_boot.add_argument("--B", type=_count, default=400,
                         help="bootstrap replications")
-    p_boot.add_argument("--alpha", type=float, default=0.05)
-    p_boot.add_argument("--c0", type=float, default=0.5)
-    p_boot.add_argument("--xi0", type=float, default=0.5)
+    p_boot.add_argument("--alpha", type=_level, default=0.05)
+    p_boot.add_argument("--c0", type=_positive, default=0.5)
+    p_boot.add_argument("--xi0", type=_positive, default=0.5)
     p_boot.set_defaults(func=cmd_bootstrap)
 
     p_sim = sub.add_parser("simulate", parents=[common],
@@ -493,7 +516,7 @@ def build_parser():
     _design_flags(p_fig)
     p_fig.add_argument("--which", required=True, choices=("fig1", "fig2"),
                        help="fig1: weight profile; fig2: trimmed tau region")
-    p_fig.add_argument("--mu0", type=float, default=None,
+    p_fig.add_argument("--mu0", type=_finite, default=None,
                        help="estimand value for fig2")
     p_fig.add_argument("--out", metavar="CSV", default=None)
     p_fig.set_defaults(func=cmd_figure_data)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -278,6 +279,20 @@ def tsls_design(iv):
 # ---------------------------------------------------------------------------
 
 
+def _twfe_core(gd):
+    """The table's groups, F(t) = P(G <= t) for t = 1..T, cumsum(F) and
+    E[D]; every sum runs left to right, as in `f_cum` and `e_d`."""
+    finite = gd.treated_groups()
+    if not finite:
+        raise NoTreatedGroups("every unit is never-treated")
+    g, s = np.array(list(gd.shares.items()), dtype=float).T
+    f = np.cumsum(np.where(g <= np.arange(1, gd.t + 1)[:, None], s, 0.0),
+                  axis=1)[:, -1]
+    cum_f = np.cumsum(f)
+    groups = finite + ([math.inf] if gd.never_share > 0 else [])
+    return groups, f, cum_f, cum_f[-1] / gd.t
+
+
 def twfe_cdh_design(gd):
     """Group-time decomposition of the two-way fixed-effects coefficient.
 
@@ -285,24 +300,18 @@ def twfe_cdh_design(gd):
     the treated cells (g <= t) and the weight on cell (g, t) is
     1 - E[D|G=g] - P(G<=t) + E[D].  Weights may be negative.
     """
-    finite = gd.treated_groups()
-    if not finite:
-        raise NoTreatedGroups("every unit is never-treated")
-    ed = gd.e_d()
-    table_groups = finite + ([math.inf] if gd.never_share > 0 else [])
-    labels, p, a, w0, groups, times = [], [], [], [], [], []
-    for g in table_groups:
-        share = gd.shares[g]
-        edg = gd.e_d_given_g(g)
-        for t in range(1, gd.t + 1):
-            labels.append(f"g={_g_str(g)},t={t}")
-            p.append(share / gd.t)
-            w0.append(1.0 if g <= t else 0.0)
-            a.append(1.0 - edg - gd.f_cum(t) + ed)
-            groups.append(g)
-            times.append(t)
-    return PanelCellTable(tuple(labels), p, a, w0,
-                          groups=tuple(groups), times=tuple(times))
+    groups, f, _, ed = _twfe_core(gd)
+    a = (1.0 - np.array([gd.e_d_given_g(g) for g in groups]))[:, None] - f + ed
+    times = tuple(range(1, gd.t + 1))
+    w0 = np.array(groups, dtype=float)[:, None] <= np.array(times)
+    suffixes = [f",t={t}" for t in times]
+    return PanelCellTable(
+        tuple([pre + sfx for pre in [f"g={_g_str(g)}" for g in groups]
+               for sfx in suffixes]),
+        np.repeat([gd.shares[g] / gd.t for g in groups], gd.t), a.ravel(),
+        w0.ravel().astype(float),
+        groups=tuple(chain.from_iterable([g] * gd.t for g in groups)),
+        times=times * len(groups))
 
 
 def twfe_h_design(gd):
@@ -313,26 +322,17 @@ def twfe_h_design(gd):
     A never-treated cell (w0 = a = 0) is kept so cell masses still sum to
     one and P(W0=1) remains the overall treated share.
     """
-    finite = gd.treated_groups()
-    if not finite:
-        raise NoTreatedGroups("every unit is never-treated")
-    labels, p, a, w0, groups = [], [], [], [], []
-    for g in finite:
-        labels.append(f"g={g}")
-        p.append(gd.shares[g])
-        w0_g = gd.e_d_given_g(g)
-        w0.append(w0_g)
-        pd0_after = 1.0 - sum(gd.f_cum(t) for t in range(g, gd.t + 1)) / (gd.t - g + 1)
-        pd1_before = sum(gd.f_cum(t) for t in range(1, g)) / (g - 1)
-        a.append((1.0 - w0_g) * (pd0_after + pd1_before))
-        groups.append(g)
-    if gd.never_share > 0:
-        labels.append("g=inf")
-        p.append(gd.never_share)
-        w0.append(0.0)
-        a.append(0.0)
-        groups.append(math.inf)
-    return PanelCellTable(tuple(labels), p, a, w0, groups=tuple(groups))
+    groups, f, cum_f, _ = _twfe_core(gd)
+    g = np.array([k for k in groups if k is not math.inf])
+    w0 = (gd.t - g + 1) / gd.t
+    # F(g) + ... + F(T) left to right; a cum_f difference changes last bits
+    after = np.cumsum(np.where(np.arange(1, gd.t + 1) >= g[:, None], f, 0.0),
+                      axis=1)[:, -1]
+    a = (1.0 - w0) * ((1.0 - after / (gd.t - g + 1)) + cum_f[g - 2] / (g - 1))
+    zeros = [0.0] * (len(groups) - len(g))
+    return PanelCellTable(tuple(f"g={_g_str(k)}" for k in groups),
+                          [gd.shares[k] for k in groups], [*a, *zeros],
+                          [*w0, *zeros], groups=tuple(groups))
 
 
 def twfe_gb_weights(gd):

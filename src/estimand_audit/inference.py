@@ -68,8 +68,8 @@ class BootstrapConfig:
             raise ValueError("b must be a positive integer")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.c0 <= 0 or self.xi0 <= 0:
-            raise ValueError("c0 and xi0 must be positive")
+        if not (0 < self.c0 < math.inf and 0 < self.xi0 < math.inf):
+            raise ValueError("c0 and xi0 must be finite and positive")
 
     def c_n(self, n):
         """Trimming threshold at sample size `n`."""

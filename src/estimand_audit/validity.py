@@ -357,7 +357,11 @@ def fixed_tau_lp(design, mu0):
 
     by repeatedly zeroing the cell of the over-weighted tail and solving
     the scalar balance equation at the boundary cell.  Agrees with the
-    closed form and the brute-force enumerator to 1e-10."""
+    closed form and the brute-force enumerator to 1e-10.
+
+    The cells still at capacity form one run [lo, hi] of the sorted
+    order: all start there, each step changes only an end of the run,
+    and a cell that leaves it is never picked again."""
     values, q, _ = _conditional_tau(design, context="the size program")
     mu0 = float(mu0)
     tol = _hull_tol(values, mu0)
@@ -371,17 +375,23 @@ def fixed_tau_lp(design, mu0):
     q = q[order]
     f = q.copy()
     s_tol = 1e-12 * max(1.0, float(np.abs(t) @ q))
+    lo, hi = 0, len(t) - 1
     for _ in range(len(t) + 2):
         s = float(t @ f)
         if abs(s) <= s_tol:
             return float(f.sum())
-        full = np.flatnonzero(f == q)
+        if lo > hi:
+            break
         if s > 0:
-            k = int(full.max())  # top cell still at capacity
+            k = hi  # top cell still at capacity
             f[k] = max(0.0, -float(t[:k] @ f[:k]) / t[k])
+            if f[k] != q[k]:
+                hi -= 1
         else:
-            k = int(full.min())  # bottom cell still at capacity
+            k = lo  # bottom cell still at capacity
             f[k] = max(0.0, -float(t[k + 1:] @ f[k + 1:]) / t[k])
+            if f[k] != q[k]:
+                lo += 1
     raise AuditError("the mass-reduction iteration failed to converge")
 
 

@@ -88,3 +88,97 @@ def random_group_distribution(rng, t_max=10):
     return GroupDistribution(
         t, {g: float(s) for g, s in zip(groups, shares) if s > 0}
     )
+
+
+# ---------------------------------------------------------------------------
+# loop references: the TWFE builders and the mass-reduction solver as they
+# were written before they were vectorised, kept to pin the new code's bits
+# ---------------------------------------------------------------------------
+
+
+def reference_twfe_cdh_design(gd):
+    """Cell-by-cell group-time decomposition, one `f_cum` per cell."""
+    import math
+
+    from estimand_audit.designs import PanelCellTable, _g_str
+    from estimand_audit.errors import NoTreatedGroups
+
+    finite = gd.treated_groups()
+    if not finite:
+        raise NoTreatedGroups("every unit is never-treated")
+    ed = gd.e_d()
+    table_groups = finite + ([math.inf] if gd.never_share > 0 else [])
+    labels, p, a, w0, groups, times = [], [], [], [], [], []
+    for g in table_groups:
+        share = gd.shares[g]
+        edg = gd.e_d_given_g(g)
+        for t in range(1, gd.t + 1):
+            labels.append(f"g={_g_str(g)},t={t}")
+            p.append(share / gd.t)
+            w0.append(1.0 if g <= t else 0.0)
+            a.append(1.0 - edg - gd.f_cum(t) + ed)
+            groups.append(g)
+            times.append(t)
+    return PanelCellTable(tuple(labels), p, a, w0,
+                          groups=tuple(groups), times=tuple(times))
+
+
+def reference_twfe_h_design(gd):
+    """Group-by-group time-constant decomposition from `f_cum` sums."""
+    import math
+
+    from estimand_audit.designs import PanelCellTable
+    from estimand_audit.errors import NoTreatedGroups
+
+    finite = gd.treated_groups()
+    if not finite:
+        raise NoTreatedGroups("every unit is never-treated")
+    labels, p, a, w0, groups = [], [], [], [], []
+    for g in finite:
+        labels.append(f"g={g}")
+        p.append(gd.shares[g])
+        w0_g = gd.e_d_given_g(g)
+        w0.append(w0_g)
+        pd0_after = 1.0 - sum(gd.f_cum(t) for t in range(g, gd.t + 1)) / (gd.t - g + 1)
+        pd1_before = sum(gd.f_cum(t) for t in range(1, g)) / (g - 1)
+        a.append((1.0 - w0_g) * (pd0_after + pd1_before))
+        groups.append(g)
+    if gd.never_share > 0:
+        labels.append("g=inf")
+        p.append(gd.never_share)
+        w0.append(0.0)
+        a.append(0.0)
+        groups.append(math.inf)
+    return PanelCellTable(tuple(labels), p, a, w0, groups=tuple(groups))
+
+
+def reference_fixed_tau_lp(design, mu0):
+    """Mass reduction that rescans every cell for the ones at capacity."""
+    from estimand_audit.errors import AuditError, InfeasibleProgram
+    from estimand_audit.validity import _conditional_tau, _hull_tol
+
+    values, q, _ = _conditional_tau(design, context="the size program")
+    mu0 = float(mu0)
+    tol = _hull_tol(values, mu0)
+    if not values.min() - tol <= mu0 <= values.max() + tol:
+        raise InfeasibleProgram(
+            f"mu0={mu0!r} lies outside the CATE range "
+            f"[{values.min()!r}, {values.max()!r}]"
+        )
+    order = np.argsort(values, kind="stable")
+    t = values[order] - mu0
+    q = q[order]
+    f = q.copy()
+    s_tol = 1e-12 * max(1.0, float(np.abs(t) @ q))
+    for _ in range(len(t) + 2):
+        s = float(t @ f)
+        if abs(s) <= s_tol:
+            return float(f.sum())
+        full = np.flatnonzero(f == q)
+        if s > 0:
+            k = int(full.max())  # top cell still at capacity
+            f[k] = max(0.0, -float(t[:k] @ f[:k]) / t[k])
+        else:
+            k = int(full.min())  # bottom cell still at capacity
+            f[k] = max(0.0, -float(t[k + 1:] @ f[k + 1:]) / t[k])
+    raise AuditError("the mass-reduction iteration failed to converge")

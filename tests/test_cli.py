@@ -466,6 +466,43 @@ def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, monkeypatch,
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+BAD_OPTIONS = {
+    "B-zero": ("bootstrap", "--B", "0"),
+    "B-fraction": ("bootstrap", "--B", "2.5"),
+    "alpha-nan": ("bootstrap", "--alpha", "nan"),
+    "alpha-one": ("bootstrap", "--alpha", "1"),
+    "boot-c0-inf": ("bootstrap", "--c0", "inf"),
+    "c0-nan": ("estimate", "--c0", "nan"),
+    "xi0-negative": ("estimate", "--xi0", "-1"),
+    "mu0-nan": ("audit", "--mu0", "nan"),
+    "mu0-inf": ("audit", "--mu0", "inf"),
+    "b-lo-nan": ("audit", "--b-lo", "nan", "--b-hi", "1"),
+    "b-hi-inf": ("audit", "--b-lo", "0", "--b-hi", "inf"),
+    "bounds-mu-overflow": ("bounds", "--mu", "1e999", "--b-lo", "0",
+                           "--b-hi", "1"),
+    "fig2-mu0-text": ("figure-data", "--which", "fig2", "--mu0", "abc"),
+}
+
+
+@pytest.mark.parametrize("args", BAD_OPTIONS.values(), ids=BAD_OPTIONS.keys())
+def test_bad_numeric_option_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                             args):
+    monkeypatch.chdir(tmp_path)
+    command, *options = args
+    if command in ("estimate", "bootstrap"):
+        inputs = ["--data", micro_csv(tmp_path / "m.csv"), "--family", "ols_ate"]
+    else:
+        (tmp_path / "d.csv").write_text(BENCH_TAU_CSV)
+        inputs = ["--design", "d.csv"]
+    with pytest.raises(SystemExit) as err:
+        run(command, *inputs, *options, "--json", "r.json", "--quiet")
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: ") and "Traceback" not in stderr
+    assert not (tmp_path / "r.json").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 class TestMalformedGroups:
     """Adoption periods that are not whole numbers, or repeat, are input
     errors naming their line, never tracebacks or silent changes."""

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from estimand_audit.cells import mu
 from estimand_audit.designs import (
@@ -37,7 +38,11 @@ from estimand_audit.errors import (
     OverlapViolation,
 )
 
-from .helpers import random_group_distribution
+from .helpers import (
+    random_group_distribution,
+    reference_twfe_cdh_design,
+    reference_twfe_h_design,
+)
 
 
 def two_cell_pt(p1=0.4, p2=0.1, m1=0.5):
@@ -280,3 +285,45 @@ class TestCdhHConsistency:
             assert mu(cdh.with_tau(cdh_tau)) == pytest.approx(
                 mu(h.with_tau(h_tau)), rel=1e-10, abs=1e-10
             )
+
+
+@st.composite
+def group_distributions(draw):
+    """T in 2..60, with or without a never-treated group, some shares
+    zero or left out, the dict in a shuffled order."""
+    t = draw(st.integers(2, 60))
+    groups = list(range(2, t + 1)) + ([math.inf] if draw(st.booleans()) else [])
+    weights = draw(st.lists(st.just(0.0) | st.floats(1e-3, 10.0),
+                            min_size=len(groups), max_size=len(groups)))
+    if sum(weights) == 0:
+        weights[0] = 1.0
+    keep = draw(st.lists(st.booleans(), min_size=len(groups),
+                         max_size=len(groups)))
+    order = draw(st.permutations(range(len(groups))))
+    total = sum(weights)
+    return GroupDistribution(t, {groups[i]: weights[i] / total for i in order
+                                 if keep[i] or weights[i] > 0})
+
+
+@pytest.mark.parametrize("build,reference", [
+    (twfe_cdh_design, reference_twfe_cdh_design),
+    (twfe_h_design, reference_twfe_h_design),
+], ids=["cdh", "h"])
+@settings(max_examples=120, deadline=None)
+@given(gd=group_distributions())
+def test_twfe_builders_equal_the_loop_references(build, reference, gd):
+    try:
+        expected = reference(gd)
+    except NoTreatedGroups:
+        with pytest.raises(NoTreatedGroups):
+            build(gd)
+        return
+    got = build(gd)
+    assert got.labels == expected.labels
+    for column in ("p", "a", "w0"):
+        assert np.array_equal(getattr(got, column), getattr(expected, column))
+    for attr in ("groups", "times"):
+        want = getattr(expected, attr)
+        assert getattr(got, attr) == want
+        if want is not None:
+            assert list(map(type, getattr(got, attr))) == list(map(type, want))

@@ -303,6 +303,12 @@ class TestBootstrapConfig:
         with pytest.raises(ValueError):
             BootstrapConfig(c0=-1.0)
 
+    @pytest.mark.parametrize("field", ["c0", "xi0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            BootstrapConfig(**{field: value})
+
     def test_rates(self):
         cfg = BootstrapConfig()
         assert cfg.c_n(1000) == pytest.approx(0.05, abs=1e-12)

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from estimand_audit.cells import SubpopulationRule, cell_table, mu
 from estimand_audit.designs import (
@@ -47,7 +48,7 @@ from estimand_audit.validity import (
     uniform_internal_validity,
 )
 
-from .helpers import binary_design, random_design
+from .helpers import binary_design, random_design, reference_fixed_tau_lp
 
 
 def three_point_design(a=(1.0, -1.0, 1.0)):
@@ -417,6 +418,41 @@ class TestFixedTauLp:
         assert fixed_tau_lp(d, 0.5) == pytest.approx(
             fixed_tau_bruteforce(d, 0.5), abs=1e-12
         )
+
+
+@st.composite
+def fixed_tau_programs(draw):
+    """Designs of up to 300 cells, tau tied on a small integer grid or
+    not, and a mu0 anywhere in tau's range (its ends and the tau values
+    included); the cell columns come from a drawn seed."""
+    k = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        tau = rng.integers(-3, 4, k).astype(float)
+    else:
+        tau = rng.normal(0.0, 2.0, k)
+    p = rng.uniform(0.01, 1.0, k)
+    w0 = np.where(rng.random(k) < 0.3, 1.0, rng.uniform(0.0, 1.0, k))
+    w0[0] = 1.0
+    design = cell_table(tuple(map(str, range(k))), p / p.sum(), np.ones(k),
+                        w0=w0, tau=tau)
+    lo, hi = _tau_range(design)
+    mu0 = draw(st.sampled_from(tau.tolist()) | st.sampled_from([lo, hi])
+               | st.floats(0.0, 1.0).map(lambda u: lo + u * (hi - lo)))
+    return design, mu0
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=fixed_tau_programs())
+def test_fixed_tau_lp_equals_the_rescanning_reference(program):
+    design, mu0 = program
+    try:
+        expected = reference_fixed_tau_lp(design, mu0)
+    except InfeasibleProgram:
+        with pytest.raises(InfeasibleProgram):
+            fixed_tau_lp(design, mu0)
+        return
+    assert fixed_tau_lp(design, mu0) == expected
 
 
 class TestFixedTauBruteforce:
