@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import mu, normalize_sign
+from .cells import _as_float_array, mu, normalize_sign
 from .errors import InvalidDesign, InvalidSupport
 
 __all__ = [
@@ -38,6 +38,7 @@ class SupportBounds:
     b_hi: float
 
     def __post_init__(self):
+        _as_float_array([self.b_lo, self.b_hi], "support bound")
         if self.b_lo > self.b_hi:
             raise InvalidSupport(
                 f"support bounds are reversed: [{self.b_lo!r}, {self.b_hi!r}]"
@@ -122,8 +123,4 @@ def ate_bounds_general(design, mu_value, sb):
     _require_full_population(design)
     design = normalize_sign(design)
     r = float(design.a @ design.p) / float(design.a.max())
-    r = min(1.0, max(0.0, r))
-    return Interval(
-        mu_value * r + sb.b_lo * (1.0 - r),
-        mu_value * r + sb.b_hi * (1.0 - r),
-    )
+    return ate_bounds_from_validity(mu_value, min(1.0, max(0.0, r)), sb)

@@ -359,19 +359,16 @@ def moment_summary(design):
     """Collect mu, E[a|W0=1], P(W0=1) and E0 = E[tau|W0=1]; mu and e0 are
     None when the needed tau values are absent."""
     m = design.w0_mass
-    mean_a = design.mean_a_given_w0
-    pop = design.pop_w0
-    value = None
+    try:
+        value = mu(design)
+    except (MissingTau, DegenerateWeights):
+        value = None
     e0 = None
-    if design.tau is not None:
-        tau_ok_mu = not np.any(np.isnan(design.tau) & (design.a * m != 0))
-        tau_ok_e0 = not np.any(np.isnan(design.tau) & (m > 0))
-        tau = np.where(np.isnan(design.tau), 0.0, design.tau)
-        if tau_ok_mu and abs((design.a * m).sum()) > _degenerate_tol(design) * m.sum():
-            value = float((design.a * m * tau).sum() / (design.a * m).sum())
-        if tau_ok_e0:
-            e0 = float((m * tau).sum() / m.sum())
-    return MomentSummary(mu=value, mean_a_given_w0=mean_a, pop_w0=pop, e0=e0)
+    if design.tau is not None and not np.any(np.isnan(design.tau) & (m > 0)):
+        e0 = float((m * np.where(np.isnan(design.tau), 0.0, design.tau)).sum()
+                   / m.sum())
+    return MomentSummary(mu=value, mean_a_given_w0=design.mean_a_given_w0,
+                         pop_w0=design.pop_w0, e0=e0)
 
 
 # ---------------------------------------------------------------------------

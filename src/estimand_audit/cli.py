@@ -86,6 +86,7 @@ _positive = _checked(float, lambda v: 0 < v < math.inf,
                      "a finite positive number")
 _level = _checked(float, lambda v: 0 < v < 1, "a number strictly inside (0, 1)")
 _count = _checked(int, lambda v: v > 0, "a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 
 
 def _design_flags(sub):
@@ -442,7 +443,7 @@ def cmd_figure_data(args, parser):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_seed, default=None,
                         help="root seed for anything random")
     common.add_argument("--json", metavar="PATH", default=None,
                         help="also write the report as JSON")

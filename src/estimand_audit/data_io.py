@@ -16,14 +16,13 @@ the implied population design exactly for oracle comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cells import (
     _as_float_array,
     _BadField,
-    _masses,
     _store,
     binary_col,
     float_col,
@@ -43,6 +42,7 @@ from .designs import (
 from .errors import (
     InvalidDesign,
     InvalidSpec,
+    OverlapViolation,
     SchemaError,
     UnbalancedPanel,
 )
@@ -193,12 +193,10 @@ def load_panel(path):
 def panel_to_group_distribution(panel):
     """Empirical adoption-group shares of a balanced panel; the number of
     periods is the panel's outcome-series length."""
-    values, counts = np.unique(panel.g, return_counts=True)
-    shares = {
-        (math.inf if math.isinf(v) else int(v)): c / panel.n
-        for v, c in zip(values, counts)
-    }
-    return GroupDistribution(panel.t, shares)
+    # |g| sends -inf to inf, both never treated; finite periods are >= 2
+    values, counts = np.unique(np.abs(panel.g), return_counts=True)
+    return GroupDistribution(panel.t, dict(zip(values.tolist(),
+                                               (counts / panel.n).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -247,81 +245,57 @@ class DgpSpec:
     groups: tuple = ()
 
     def __post_init__(self):
-        try:
-            self._validate()
-        except InvalidDesign as exc:  # from the shared checks in `cells`
-            raise InvalidSpec(str(exc)) from None
-
-    def _validate(self):
         if self.family not in FAMILIES:
-            raise InvalidSpec(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
-            )
-        _as_float_array([self.noise_scale, self.trend_slope] + [
-            v for c in self.cells for v in (c.p, c.pz, c.pc, c.pa, c.tau, c.baseline)
-            if v is not None] + [v for g in self.groups for v in (g.tau, g.baseline)],
-            "DGP parameter")
+            raise InvalidSpec(f"unknown family {self.family!r}; "
+                              f"expected one of {FAMILIES}")
+        try:  # the implied table's own checks decide the rest
+            _as_float_array([self.noise_scale, self.trend_slope] + [
+                v for c in self.cells for v in (c.pa, c.tau, c.baseline)] + [
+                v for g in self.groups for v in (g.tau, g.baseline)],
+                "DGP parameter")
+            self._table()
+        except (InvalidDesign, OverlapViolation) as exc:
+            raise InvalidSpec(str(exc)) from None
         if self.noise_scale < 0:
             raise InvalidSpec("noise_scale must be nonnegative")
-        if self.family in ("unconfoundedness", "iv"):
-            if not self.cells:
-                raise InvalidSpec("cell definitions are required")
-            _masses([c.mass for c in self.cells], "cell mass")
-            for c in self.cells:
-                if self.family == "unconfoundedness":
-                    if c.p is None or not 0 < c.p < 1:
-                        raise InvalidSpec(
-                            f"cell {c.label!r}: p must lie in (0,1)"
-                        )
-                else:
-                    if c.pz is None or not 0 < c.pz < 1:
-                        raise InvalidSpec(
-                            f"cell {c.label!r}: pz must lie in (0,1)"
-                        )
-                    if c.pc is None or not 0 <= c.pc <= 1 or c.pa < 0 or \
-                            c.pc + c.pa > 1:
-                        raise InvalidSpec(
-                            f"cell {c.label!r}: invalid strata shares"
-                        )
-        else:
-            if self.t is None or int(self.t) < 2:
-                raise InvalidSpec("staggered family needs t >= 2")
-            if not self.groups:
-                raise InvalidSpec("group definitions are required")
-            _masses([g.share for g in self.groups], "group share")
-            for gs in self.groups:
-                if not math.isinf(gs.g) and not 2 <= gs.g <= self.t:
-                    raise InvalidSpec(
-                        f"group {gs.g!r} outside {{2,…,{self.t}}} ∪ {{inf}}"
-                    )
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be nonnegative, got {self.seed!r}")
+        for c in self.cells if self.family == "iv" else ():
+            if c.pa < 0 or c.pc + c.pa > 1:
+                raise InvalidSpec(f"cell {c.label!r}: invalid strata shares")
 
     # -- primitives of the implied population design -------------------
 
+    def _table(self, primitive=object):
+        """The primitive table this spec implies, which must be a
+        `primitive`."""
+        labels = tuple(c.label for c in self.cells)
+        mass = [c.mass for c in self.cells]
+        if self.family == "unconfoundedness":
+            table = PropensityTable(labels, mass, [c.p for c in self.cells])
+        elif self.family == "iv":
+            pz, pc = (_as_float_array([getattr(c, k) for c in self.cells], k)
+                      for k in ("pz", "pc"))
+            with np.errstate(over="ignore"):  # a huge |pz| overflows; the table rejects it
+                table = IvCellTable(labels, mass, pz, pc * pz * (1 - pz), pc)
+        else:
+            shares = {g.g: g.share for g in self.groups}
+            if len(shares) < len(self.groups):
+                raise InvalidDesign("every adoption group must appear once")
+            table = GroupDistribution(self.t, shares)
+        if not isinstance(table, primitive):
+            raise InvalidSpec(f"this specification is for {self.family!r}, "
+                              f"which has no {primitive.__name__}")
+        return table
+
     def propensity_table(self):
-        self._require("unconfoundedness")
-        return PropensityTable(
-            tuple(c.label for c in self.cells),
-            [c.mass for c in self.cells],
-            [c.p for c in self.cells],
-        )
+        return self._table(PropensityTable)
 
     def iv_table(self):
-        self._require("iv")
-        pz = np.asarray([c.pz for c in self.cells])
-        pc = np.asarray([c.pc for c in self.cells])
-        return IvCellTable(
-            tuple(c.label for c in self.cells),
-            [c.mass for c in self.cells],
-            pz,
-            pc * pz * (1 - pz),
-            pc,
-        )
+        return self._table(IvCellTable)
 
     def group_distribution(self):
-        self._require("staggered_did")
-        return GroupDistribution(
-            int(self.t), {g.g: g.share for g in self.groups}
-        )
+        return self._table(GroupDistribution)
 
     def true_design(self, estimand):
         """Population cell table, with the true CATEs attached, for the
@@ -329,23 +303,14 @@ class DgpSpec:
         family = ESTIMAND_FAMILIES.get(estimand)
         if family is None:
             raise InvalidSpec(f"unknown estimand {estimand!r}")
-        self._require(family.dgp)
-        primitive = {"unconfoundedness": self.propensity_table,
-                     "iv": self.iv_table,
-                     "staggered_did": self.group_distribution}[self.family]
-        design = family.build(primitive())
+        table = self._table(family.primitive)
+        design = family.build(table)
         if self.family == "staggered_did":
-            tau_by_g = {g.g: g.tau for g in self.groups}
+            tau_by_g = dict(zip(table.shares, (g.tau for g in self.groups)))
             tau = [tau_by_g.get(g, math.nan) for g in design.groups]
         else:
             tau = [c.tau for c in self.cells]
         return design.with_tau(tau)
-
-    def _require(self, family):
-        if self.family != family:
-            raise InvalidSpec(
-                f"this specification is for {self.family!r}, not {family!r}"
-            )
 
     # -- serialization --------------------------------------------------
 
@@ -402,13 +367,12 @@ class DgpSpec:
                 )
                 for g in payload.get("groups", ())
             )
-            t = payload.get("t")
             return cls(
                 family=family,
                 seed=seed,
                 noise_scale=noise,
                 cells=cells,
-                t=None if t is None else int(t),
+                t=payload.get("t"),
                 trend_slope=float(payload.get("trend_slope", 0.0)),
                 groups=groups,
             )
@@ -455,12 +419,12 @@ def simulate(spec, n, seed=None):
 
 
 def _simulate_panel(spec, n, rng):
-    g_vals = np.asarray([g.g for g in spec.groups])
-    shares = np.asarray([g.share for g in spec.groups])
+    gd = spec.group_distribution()  # in the order of spec.groups
+    g_vals = np.asarray(list(gd.shares), dtype=float)
     tau = np.asarray([g.tau for g in spec.groups])
     base = np.asarray([g.baseline for g in spec.groups])
-    t = int(spec.t)
-    gi = rng.choice(len(g_vals), size=n, p=shares)
+    t = gd.t
+    gi = rng.choice(len(g_vals), size=n, p=list(gd.shares.values()))
     periods = np.arange(1, t + 1)
     treated = periods[None, :] >= g_vals[gi][:, None]
     y = (

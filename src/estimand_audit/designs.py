@@ -131,24 +131,32 @@ class IvCellTable(_LabelledTable):
 
 @dataclass(frozen=True)
 class GroupDistribution:
-    """Distribution of staggered adoption groups over {2,…,T} ∪ {inf}."""
+    """Distribution of staggered adoption groups over {2,…,T} ∪ {inf}, and
+    the one adoption-period rule: T and every finite group are whole
+    numbers, and any infinite group means never treated."""
 
     t: int
     shares: dict
 
     def __post_init__(self):
-        t = int(self.t)
-        if t < 2:
-            raise InvalidDesign("a panel needs at least two periods")
-        shares = {}
-        _as_float_array(list(dict(self.shares).values()), "share")
-        for g, s in dict(self.shares).items():
-            g = math.inf if (isinstance(g, float) and math.isinf(g)) else int(g)
-            s = float(s)
+        raw = dict(self.shares)
+        try:
+            t, groups = float(self.t), [float(g) for g in raw]
+        except (TypeError, ValueError):
+            raise InvalidDesign("periods and groups must be numbers") from None
+        if not (t.is_integer() and t >= 2):
+            raise InvalidDesign(f"a panel needs a whole number of periods "
+                                f">= 2, got {self.t!r}")
+        t, shares = int(t), {}
+        values = _as_float_array(list(raw.values()), "share").tolist()
+        for key, g, s in zip(raw, groups, values):
+            if not (math.isinf(g) or (g.is_integer() and 2 <= g <= t)):
+                raise InvalidDesign(f"group {key!r} outside {{2,…,{t}}} ∪ {{inf}}")
+            g = math.inf if math.isinf(g) else int(g)
+            if g in shares:
+                raise InvalidDesign(f"duplicated group {_g_str(g)}")
             if s < -MASS_TOL:
                 raise InvalidDesign("group shares must be nonnegative")
-            if g is not math.inf and not 2 <= g <= t:
-                raise InvalidDesign(f"group {g} outside {{2,…,{t}}} ∪ {{inf}}")
             shares[g] = max(s, 0.0)
         if abs(sum(shares.values()) - 1.0) > MASS_TOL:
             raise InvalidDesign("group shares must sum to 1")
@@ -368,29 +376,27 @@ def twfe_gb_weights(gd):
 
 @dataclass(frozen=True)
 class EstimandFamily:
-    """An estimand family: the table type its design is built from, the
-    DgpSpec family it is defined on, its public builder and — when its
-    cells are the table's rows — its weights: the table's columns after
-    ``mass`` (keywords, any leading axes) -> arrays ``(a, w0)``."""
+    """An estimand family: the table type its design is built from (and so
+    the DgpSpec family it is defined on), its public builder and — when
+    its cells are the table's rows — its weights: the table's columns
+    after ``mass`` (keywords, any leading axes) -> arrays ``(a, w0)``."""
 
     primitive: type
-    dgp: str
     build: object
     weights: object = None
 
 
 ESTIMAND_FAMILIES = {
-    "ols_ate": EstimandFamily(PropensityTable, "unconfoundedness", ols_ate_design,
+    "ols_ate": EstimandFamily(PropensityTable, ols_ate_design,
                               lambda p: (p * (1 - p), np.ones_like(p))),
-    "ols_att": EstimandFamily(PropensityTable, "unconfoundedness", ols_att_design,
+    "ols_att": EstimandFamily(PropensityTable, ols_att_design,
                               lambda p: (1.0 - p, p)),
-    "ols_atu": EstimandFamily(PropensityTable, "unconfoundedness", ols_atu_design,
+    "ols_atu": EstimandFamily(PropensityTable, ols_atu_design,
                               lambda p: (p, 1.0 - p)),
-    "iv": EstimandFamily(IvCellTable, "iv", iv_design,
+    "iv": EstimandFamily(IvCellTable, iv_design,
                          lambda pz, cov_dz, pc: (pz * (1.0 - pz), pc)),
-    "tsls": EstimandFamily(IvCellTable, "iv", tsls_design,
+    "tsls": EstimandFamily(IvCellTable, tsls_design,
                            lambda pz, cov_dz, pc: (np.abs(cov_dz), pc)),
-    "twfe_cdh": EstimandFamily(GroupDistribution, "staggered_did",
-                               twfe_cdh_design),
-    "twfe_h": EstimandFamily(GroupDistribution, "staggered_did", twfe_h_design),
+    "twfe_cdh": EstimandFamily(GroupDistribution, twfe_cdh_design),
+    "twfe_h": EstimandFamily(GroupDistribution, twfe_h_design),
 }

@@ -70,6 +70,8 @@ class BootstrapConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not (0 < self.c0 < math.inf and 0 < self.xi0 < math.inf):
             raise ValueError("c0 and xi0 must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def c_n(self, n):
         """Trimming threshold at sample size `n`."""

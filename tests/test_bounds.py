@@ -18,13 +18,19 @@ from estimand_audit.bounds import (
     decompose_negative_weights,
 )
 from estimand_audit.cells import cell_table, mu
-from estimand_audit.errors import InvalidDesign, InvalidSupport
+from estimand_audit.errors import AuditError, InvalidDesign, InvalidSupport
 from estimand_audit.validity import uniform_internal_validity
 
 from .helpers import binary_design, random_design
 
 
 class TestSupportBounds:
+    @pytest.mark.parametrize("b_lo,b_hi", [(float("nan"), 1.0), (0.0, float("inf")),
+                                           (float("-inf"), 0.0)])
+    def test_non_finite_bounds_rejected(self, b_lo, b_hi):
+        with pytest.raises(AuditError, match="finite"):
+            SupportBounds(b_lo, b_hi)
+
     def test_ordering_enforced(self):
         with pytest.raises(InvalidSupport):
             SupportBounds(1.0, -1.0)

@@ -444,6 +444,13 @@ BAD_INPUTS = {
                                        "--tau", "1,abc"), "'abc'"),
     "bad-spec-json": ({"s.json": '{"family": '},
                       ("simulate", "--spec", "s.json", "--n", 5), "s.json"),
+    "negative-spec-seed": ({"s.json": SPEC_JSON.replace('"seed": 0',
+                                                        '"seed": -1')},
+                           ("simulate", "--spec", "s.json", "--n", 5), "seed"),
+    "fractional-spec-group": ({"s.json": json.dumps({
+        "family": "staggered_did", "t": 3,
+        "groups": [{"g": 2.5, "share": 0.5}, {"g": "inf", "share": 0.5}]})},
+        ("simulate", "--spec", "s.json", "--n", 5), "group 2.5"),
 }
 
 
@@ -481,6 +488,8 @@ BAD_OPTIONS = {
     "bounds-mu-overflow": ("bounds", "--mu", "1e999", "--b-lo", "0",
                            "--b-hi", "1"),
     "fig2-mu0-text": ("figure-data", "--which", "fig2", "--mu0", "abc"),
+    "simulate-seed-negative": ("simulate", "--seed", "-1"),
+    "bootstrap-seed-negative": ("bootstrap", "--seed", "-3"),
 }
 
 
@@ -494,6 +503,9 @@ def test_bad_numeric_option_is_a_usage_error(tmp_path, monkeypatch, capsys,
     else:
         (tmp_path / "d.csv").write_text(BENCH_TAU_CSV)
         inputs = ["--design", "d.csv"]
+    if command == "simulate":
+        (tmp_path / "s.json").write_text(SPEC_JSON)
+        inputs = ["--spec", "s.json", "--n", "5"]
     with pytest.raises(SystemExit) as err:
         run(command, *inputs, *options, "--json", "r.json", "--quiet")
     assert err.value.code == 2

@@ -2,6 +2,8 @@
 simulator."""
 
 import dataclasses
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from estimand_audit.data_io import (
     simulate,
 )
 from estimand_audit.designs import (
+    ESTIMAND_FAMILIES,
     GroupDistribution,
     IvCellTable,
     PropensityTable,
@@ -148,6 +151,12 @@ class TestPanelToGroupDistribution:
         gd = panel_to_group_distribution(panel)
         assert set(gd.shares) == {2, math.inf}
 
+    def test_every_infinity_is_one_never_treated_group(self):
+        panel = PanelData(("a", "b", "c", "d"), [2, math.inf, -math.inf, 3],
+                          np.zeros((4, 3)))
+        gd = panel_to_group_distribution(panel)
+        assert gd.shares == {2: 0.25, 3: 0.25, math.inf: 0.5}
+
     def test_all_never_treated_fails_downstream(self):
         panel = PanelData(("a", "b"), [math.inf, math.inf], np.zeros((2, 2)))
         gd = panel_to_group_distribution(panel)
@@ -246,6 +255,50 @@ class TestDgpSpec:
         assert rep.p_internal == pytest.approx(1.0, abs=1e-12)
 
 
+class TestSpecValidatedByItsTable:
+    """A spec is valid exactly when the table it implies is: adoption
+    periods, the number of periods and the group set follow the rule of
+    `GroupDistribution`, and the seed must be usable by the sampler."""
+
+    @pytest.mark.parametrize("path,value", [
+        (("groups", 0, "g"), 2.5),
+        (("groups", 0, "g"), 1),
+        (("groups", 1, "g"), 4),
+        (("groups", 0, "g"), math.nan),
+        (("t",), 4.7),
+        (("t",), 1),
+        (("t",), None),
+        (("groups", 1, "g"), 2),  # a duplicated group
+        (("seed",), -1),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_staggered_rejected(self, path, value):
+        payload = staggered_spec().to_json_dict()
+        *parents, leaf = path
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+        with pytest.raises(InvalidSpec):
+            DgpSpec.from_json_dict(payload)
+
+    def test_cross_sectional_table_checks_apply(self):
+        spec = iv_spec()
+        with pytest.raises(InvalidSpec, match="instrument"):
+            DgpSpec("iv", cells=(dataclasses.replace(spec.cells[0], pz=1.0),
+                                 spec.cells[1]))
+        with pytest.raises(InvalidSpec, match="strata"):
+            DgpSpec("iv", cells=(dataclasses.replace(spec.cells[0], pa=0.7),
+                                 spec.cells[1]))
+        with pytest.raises(InvalidSpec, match="mass"):
+            DgpSpec("unconfoundedness", cells=benchmark_spec().cells[:1])
+
+    def test_other_family_primitive_rejected(self):
+        with pytest.raises(InvalidSpec, match="'iv'"):
+            iv_spec().true_design("ols_ate")
+        with pytest.raises(InvalidSpec, match="GroupDistribution"):
+            benchmark_spec().group_distribution()
+
+
 class TestNonFiniteSpecValues:
     """A NaN or infinite DGP parameter is an InvalidSpec, not a crash in
     `simulate` or an all-NaN outcome column."""
@@ -291,6 +344,57 @@ class TestNonFiniteOutcomes:
         src = write(tmp_path / "s.csv", "x,d,y\n1,0,0.5\n1,1,nan\n")
         with pytest.raises(SchemaError):
             load_micro(src)
+
+
+# sha256 of the CSV bytes; captured before the spec validation was moved
+# into the tables each spec implies
+SIMULATE_SHA256 = {
+    "unconfoundedness":
+        "7ff2997d264a3cd56b8371227aec6452a705b2a1db63fef26043140bde57aba3",
+    "iv":
+        "a251ea6adc49ccc91a602620813833f188905828c58f9837d2d20a1f22a4b2ae",
+    "staggered_did":
+        "1c2517971cd5dde81d0a5c9669039d20084b6b1117031fce2096450ca8b92be7",
+}
+TRUE_DESIGN_SHA256 = {
+    "ols_ate":
+        "4f3d7dac6417dc260d0602ba69bf20517b3baba4fd95a48c6c2618c3774e923d",
+    "ols_att":
+        "1aa9f9f71f04de161dba02c43792f4897076cc2c4aee845f2cf6dacea9ee3544",
+    "ols_atu":
+        "d1cd7237fca9797ac92dec6407c45f7a07b0dfa4162af2c45e9b97215acc6ae2",
+    "iv":
+        "0737d74524375d9fa7725a694a229362d47ef365a36c67e5bdb85eedafb7c25d",
+    "tsls":
+        "91931a09809977550ce0a6633205d49104180a75151655184477cdc6fb9101f0",
+    "twfe_cdh":
+        "ce83862cf1bd52c5cb660c225920f758adf6eab3119daabae3fc2c1acaa461ab",
+    "twfe_h":
+        "9782e540a44437e83a57ced8cad1d4ed6dd651830a292778296a4f49038773ff",
+}
+SPEC_OF = {"unconfoundedness": benchmark_spec, "iv": iv_spec,
+           "staggered_did": staggered_spec}
+SPEC_OF_TABLE = {PropensityTable: benchmark_spec, IvCellTable: iv_spec,
+                 GroupDistribution: staggered_spec}
+
+
+def csv_sha256(table):
+    buf = io.StringIO()
+    table.to_csv(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+class TestLockIns:
+    @pytest.mark.parametrize("family", SIMULATE_SHA256)
+    def test_simulate_csv(self, family):
+        sample = simulate(SPEC_OF[family](seed=21), 400)
+        assert csv_sha256(sample) == SIMULATE_SHA256[family]
+
+    @pytest.mark.parametrize("estimand", TRUE_DESIGN_SHA256)
+    def test_true_design_csv(self, estimand):
+        make = SPEC_OF_TABLE[ESTIMAND_FAMILIES[estimand].primitive]
+        design = make().true_design(estimand)
+        assert csv_sha256(design) == TRUE_DESIGN_SHA256[estimand]
 
 
 class TestSimulate:

@@ -170,6 +170,26 @@ class TestGroupDistribution:
         with pytest.raises(InvalidDesign):
             GroupDistribution(3, {1: 0.5, 3: 0.5})  # g=1 outside support
 
+    @pytest.mark.parametrize("t,shares", [
+        (4, {2.5: 0.5, math.inf: 0.5}),  # a fractional adoption period
+        (3.9, {2: 0.5, 3: 0.5}),  # a fractional number of periods
+        (3, {math.nan: 1.0}),
+        (3, {math.inf: 0.5, -math.inf: 0.5}),  # both mean never treated
+        (math.inf, {2: 1.0}),
+        (math.nan, {2: 1.0}),
+        (None, {2: 1.0}),
+        (3, {"two": 1.0}),
+    ])
+    def test_adoption_period_rule(self, t, shares):
+        with pytest.raises(InvalidDesign):
+            GroupDistribution(t, shares)
+
+    def test_any_infinity_means_never_treated(self):
+        gd = GroupDistribution(3.0, {2.0: 0.5, -np.inf: 0.5})
+        assert gd.t == 3 and type(gd.t) is int
+        assert gd.shares == {2: 0.5, math.inf: 0.5}
+        assert all(g is math.inf or type(g) is int for g in gd.shares)
+
     def test_csv_round_trip(self, tmp_path):
         gd = GroupDistribution(3, {2: 0.7, 3: 0.25, math.inf: 0.05})
         path = tmp_path / "gd.csv"

@@ -88,7 +88,7 @@ AUDIT_SHA256 = {
 
 
 def sample_csv(tmp_path, family):
-    spec = INSTRUMENTED if ESTIMAND_FAMILIES[family].dgp == "iv" else UNCONFOUNDED
+    spec = INSTRUMENTED if ESTIMAND_FAMILIES[family].primitive is IvCellTable else UNCONFOUNDED
     path = tmp_path / "sample.csv"
     simulate(DgpSpec.from_json_dict(spec), 3000, seed=11).to_csv(path)
     return path

@@ -309,6 +309,10 @@ class TestBootstrapConfig:
         with pytest.raises(ValueError, match="finite"):
             BootstrapConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            BootstrapConfig(seed=-1)
+
     def test_rates(self):
         cfg = BootstrapConfig()
         assert cfg.c_n(1000) == pytest.approx(0.05, abs=1e-12)
