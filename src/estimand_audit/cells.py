@@ -387,7 +387,12 @@ def read_csv(path, columns, exact=False):
     `columns` maps the expected header to parsers ``parse(values, name)``,
     or is a function (path, header) -> such a map.  Short rows are padded
     and long ones rejected, or with `exact` both are errors.  The bad
-    value on the earliest row (leftmost on a tie) is reported."""
+    value on the earliest row (leftmost on a tie) is reported.  A plain
+    file is read by `_read_plain`; every other file, and every error, by
+    the csv module below."""
+    fast = _read_plain(path, columns)
+    if fast is not None:
+        return fast
     try:
         with open(path, newline="") as fh:
             start = 0
@@ -431,6 +436,54 @@ def read_csv(path, columns, exact=False):
     return out
 
 
+def _read_plain(path, columns):
+    """`read_csv` of a plain file through numpy's C tokenizer, or None.
+
+    Columns whose parser `reads_floats` are parsed by `np.loadtxt`, which
+    calls the same C routine as `float`; every other column goes to its
+    parser as text.  The exact reader decides every other file, so that
+    it alone raises: a file is declined on any error, a quote, a NUL
+    (which csv rejects before Python 3.11), a lone CR, no data rows
+    (loadtxt would warn), a line over the csv field limit or a wrong
+    total field count.  Short and blank rows fail in loadtxt or in the
+    parsers, which reject a blank float, 0/1 or adoption period, and
+    every table has one."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+        if ('"' in text or "\0" in text
+                or text.count("\r") != text.count("\r\n")):
+            return None
+        commas, lines = text.count(","), text.split("\n")
+        del text  # each copy of the text goes once the next exists
+        start = 0
+        while lines[start].lstrip().startswith("#"):
+            start += 1
+        header = [h.strip() for h in lines[start].split(",")]
+        if callable(columns):
+            columns = columns(path, header)
+        elif header != list(columns):
+            return None
+        commas -= sum(line.count(",") for line in lines[:start + 1])
+        rows = lines[start + 1:]
+        del lines
+        if rows and not rows[-1]:  # after the newline that ends the last row
+            rows.pop()
+        if (not rows or commas != (len(columns) - 1) * len(rows)
+                or max(map(len, rows)) > csv.field_size_limit()):
+            return None
+        kinds = [float if getattr(parse, "reads_floats", False) else object
+                 for parse in columns.values()]
+        table = np.loadtxt(rows, dtype=list(zip(columns, kinds)),
+                           delimiter=",", comments=None, ndmin=1)
+        del rows
+        return {name: table[name].copy() if kind is float
+                else parse(table[name].tolist(), name)
+                for (name, parse), kind in zip(columns.items(), kinds)}
+    except Exception:  # whatever this path cannot read, the exact reader reports
+        return None
+
+
 def _tidy_rows(path, rows, lines, width, exact):
     """Drop blank rows and fix field counts row by row.  With `exact`, the
     first row of the wrong width ends the table and its error is returned,
@@ -471,6 +524,7 @@ def float_col(values, name, words=None):
     return out
 
 
+float_col.reads_floats = True  # `read_csv` may parse such columns with numpy
 tau_col = functools.partial(float_col, words={"": math.nan})
 _BITS = {"0": 0, "1": 1}
 

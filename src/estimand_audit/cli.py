@@ -30,7 +30,7 @@ from .cells import (CellTable, _BadField, moment_summary, normalize_sign,
 from .data_io import DgpSpec, load_micro, load_panel, panel_to_group_distribution, simulate
 from .designs import ESTIMAND_FAMILIES, GroupDistribution, IvCellTable, PropensityTable
 from .errors import (AuditError, InfeasibleProgram, InvalidDesign, InvalidSpec,
-                     MissingTau, ParseError)
+                     MissingTau, NonFiniteResult, ParseError)
 from .inference import (
     ESTIMABLE,
     BootstrapConfig,
@@ -150,7 +150,31 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _non_finite(value, key=""):
+    """The key of the first number in a report that is not finite, or None."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        try:
+            if all(map(math.isfinite, value)):
+                return None
+        except TypeError:  # not a list of numbers only
+            pass
+        items = enumerate(value)
+    else:
+        return key if isinstance(value, float) and not math.isfinite(value) else None
+    for k, v in items:
+        found = _non_finite(v, f"{key}[{k}]" if isinstance(k, int) else
+                            f"{key}.{k}" if key else k)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(args, payload, lines):
+    bad = _non_finite(payload)
+    if bad is not None:
+        raise NonFiniteResult(f"the report value {bad} is not a finite number")
     if args.json is not None:
         _write_json(args.json, payload)
     if not args.quiet and lines:

@@ -16,6 +16,7 @@ the implied population design exactly for oracle comparisons.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,9 @@ def _outcome_col(values, name):
         raise _BadField(i, UnbalancedPanel, f"missing outcome {name}") from None
 
 
+_outcome_col.reads_floats = True  # only float_col's error is rewritten
+
+
 def load_panel(path):
     """Read a wide-form panel CSV with header unit,g,y1,...,yT."""
     units, g, *y = read_csv(path, _panel_columns, exact=True).values()
@@ -203,7 +207,15 @@ def panel_to_group_distribution(panel):
 # synthetic data-generating processes
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("unconfoundedness", "iv", "staggered_did")
+# the keys a JSON specification of each family may have, at the top
+# level and in each of its cells or groups
+_SPEC_KEYS = {
+    "unconfoundedness": ({"cells"}, {"label", "mass", "p", "tau", "baseline"}),
+    "iv": ({"cells"}, {"label", "mass", "pz", "pc", "pa", "tau", "baseline"}),
+    "staggered_did": ({"t", "trend_slope", "groups"},
+                      {"g", "share", "tau", "baseline"}),
+}
+FAMILIES = tuple(_SPEC_KEYS)
 
 
 @dataclass(frozen=True)
@@ -258,8 +270,13 @@ class DgpSpec:
             raise InvalidSpec(str(exc)) from None
         if self.noise_scale < 0:
             raise InvalidSpec("noise_scale must be nonnegative")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be nonnegative, got {self.seed!r}")
+        seed = self.seed
+        if isinstance(seed, float) and seed.is_integer():
+            seed = int(seed)
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise InvalidSpec(f"seed must be a nonnegative whole number, "
+                              f"got {self.seed!r}")
+        _store(self, seed=int(seed))
         for c in self.cells if self.family == "iv" else ():
             if c.pa < 0 or c.pc + c.pa > 1:
                 raise InvalidSpec(f"cell {c.label!r}: invalid strata shares")
@@ -342,44 +359,37 @@ class DgpSpec:
     def from_json_dict(cls, payload):
         try:
             family = payload["family"]
-            seed = int(payload.get("seed", 0))
-            noise = float(payload.get("noise_scale", 1.0))
-            cells = tuple(
-                CellSpec(
-                    label=str(c["label"]),
-                    mass=float(c["mass"]),
-                    p=None if c.get("p") is None else float(c["p"]),
-                    pz=None if c.get("pz") is None else float(c["pz"]),
-                    pc=None if c.get("pc") is None else float(c["pc"]),
-                    pa=float(c.get("pa", 0.0)),
-                    tau=float(c.get("tau", 0.0)),
-                    baseline=float(c.get("baseline", 0.0)),
-                )
-                for c in payload.get("cells", ())
-            )
-            groups = tuple(
-                GroupSpec(
-                    g=math.inf if str(g["g"]).lower() in ("inf", "never")
-                    else float(g["g"]),
-                    share=float(g["share"]),
-                    tau=float(g.get("tau", 0.0)),
-                    baseline=float(g.get("baseline", 0.0)),
-                )
-                for g in payload.get("groups", ())
-            )
-            return cls(
-                family=family,
-                seed=seed,
-                noise_scale=noise,
-                cells=cells,
-                t=payload.get("t"),
-                trend_slope=float(payload.get("trend_slope", 0.0)),
-                groups=groups,
-            )
+            if family in FAMILIES:
+                _check_keys(payload, *_SPEC_KEYS[family])
+            cells = tuple(CellSpec(**{
+                k: str(v) if k == "label" else None if v is None else float(v)
+                for k, v in c.items()}) for c in payload.get("cells", ()))
+            groups = tuple(GroupSpec(**{
+                k: math.inf if k == "g" and str(v).lower() in ("inf", "never")
+                else float(v) for k, v in g.items()})
+                for g in payload.get("groups", ()))
+            return cls(family=family, seed=payload.get("seed", 0),
+                       noise_scale=float(payload.get("noise_scale", 1.0)),
+                       cells=cells, t=payload.get("t"),
+                       trend_slope=float(payload.get("trend_slope", 0.0)),
+                       groups=groups)
         except InvalidSpec:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed DGP specification: {exc}") from exc
+
+
+def _check_keys(payload, keys, item_keys):
+    """Reject a key the specification's family does not read."""
+    parts = [("the specification", payload, {"family", "seed", "noise_scale",
+                                              *keys})]
+    for part in sorted(keys & {"cells", "groups"}):
+        parts += [(f"{part[:-1]} {i}", item, item_keys)
+                  for i, item in enumerate(payload.get(part, ()), start=1)]
+    for where, obj, allowed in parts:
+        unknown = sorted(set(obj) - allowed)
+        if unknown:
+            raise InvalidSpec(f"unknown key {unknown[0]!r} in {where}")
 
 
 def simulate(spec, n, seed=None):

@@ -87,6 +87,10 @@ class InvalidSpec(AuditError):
     """A simulation spec fails validation."""
 
 
+class NonFiniteResult(AuditError):
+    """A computed report number overflowed or is undefined."""
+
+
 class InvariantViolation(AuditError):
     """An internal invariant failed; this is a bug, not bad input."""
 

@@ -447,6 +447,29 @@ BAD_INPUTS = {
     "negative-spec-seed": ({"s.json": SPEC_JSON.replace('"seed": 0',
                                                         '"seed": -1')},
                            ("simulate", "--spec", "s.json", "--n", 5), "seed"),
+    "fractional-spec-seed": ({"s.json": SPEC_JSON.replace('"seed": 0',
+                                                          '"seed": 2.7')},
+                             ("simulate", "--spec", "s.json", "--n", 5),
+                             "seed"),
+    "unknown-spec-key": ({"s.json": SPEC_JSON.replace('"seed": 0',
+                                                      '"noise": 0.5')},
+                         ("simulate", "--spec", "s.json", "--n", 5),
+                         "'noise' in the specification"),
+    "unknown-cell-key": ({"s.json": SPEC_JSON.replace('"p": 0.27',
+                                                      '"p": 0.27, "extra": 3')},
+                         ("simulate", "--spec", "s.json", "--n", 5),
+                         "'extra' in cell 2"),
+    "cross-sectional-t": ({"s.json": SPEC_JSON.replace('"seed": 0',
+                                                       '"t": 4.7')},
+                          ("simulate", "--spec", "s.json", "--n", 5), "'t'"),
+    "staggered-cells": ({"s.json": json.dumps({
+        "family": "staggered_did", "t": 3, "cells": [],
+        "groups": [{"g": 2, "share": 0.5}, {"g": "inf", "share": 0.5}]})},
+        ("simulate", "--spec", "s.json", "--n", 5), "'cells'"),
+    "overflowing-report": ({"d.csv": "label,p,a,w0,tau\n1,0.5,1.7e308,1,1\n"
+                                     "2,0.5,1.7e308,1,2\n"},
+                           ("audit", "--design", "d.csv", "--json", "r.json"),
+                           "moments.mu"),
     "fractional-spec-group": ({"s.json": json.dumps({
         "family": "staggered_did", "t": 3,
         "groups": [{"g": 2.5, "share": 0.5}, {"g": "inf", "share": 0.5}]})},
@@ -470,7 +493,7 @@ def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
-    assert not list(tmp_path.rglob("*.tmp"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 BAD_OPTIONS = {
@@ -575,17 +598,19 @@ class TestNonFiniteDesignValues:
 
 class TestAtomicOutputs:
     def test_failed_report_keeps_the_earlier_file(self, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch, capsys):
         src = tmp_path / "bench.csv"
         src.write_text(BENCH_TAU_CSV)
         out = tmp_path / "r.json"
         assert run("audit", "--design", src, "--json", out, "--quiet") == 0
         before = out.read_bytes()
-        # json.dump(allow_nan=False) fails part way through the report
+        # a report with a number that is not finite is refused whole
         monkeypatch.setattr(cli, "moment_summary", lambda design: MomentSummary(
             mu=float("nan"), mean_a_given_w0=0.5, pop_w0=1.0, e0=None))
-        with pytest.raises(ValueError, match="JSON"):
-            run("audit", "--design", src, "--mu0", 2.2, "--json", out, "--quiet")
+        assert run("audit", "--design", src, "--mu0", 2.2, "--json", out,
+                   "--quiet") == 1
+        assert capsys.readouterr().err == (
+            "error: the report value moments.mu is not a finite number\n")
         assert out.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "bench.csv", "r.json"]

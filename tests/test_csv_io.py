@@ -2,8 +2,10 @@
 
 Each of the six readers is run on the same kinds of malformed and
 unusual input: bad values (reported with their line), wrong field
-counts, quoted labels, CRLF line endings and padded fields.  The writer
-tests pin the exact bytes each `to_csv` produces on seeded inputs.
+counts, quoted labels, CRLF line endings and padded fields.  Plain files
+are parsed by numpy's C reader and every other file by the exact
+reader; the differential tests check that the two never disagree.  The
+writer tests pin the exact bytes each `to_csv` produces on seeded inputs.
 """
 
 import dataclasses
@@ -11,14 +13,19 @@ import hashlib
 import io
 import math
 import os
+import struct
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from estimand_audit import cells
 from estimand_audit.cells import CellTable, open_atomic
 from estimand_audit.data_io import MicroSample, PanelData, load_micro, load_panel
 from estimand_audit.designs import GroupDistribution, IvCellTable, PropensityTable
-from estimand_audit.errors import InvalidDesign, ParseError
+from estimand_audit.errors import InvalidDesign, ParseError, SchemaError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,6 +221,199 @@ class TestReaders:
         rows.insert(2, [" "] * len(r.header))
         assert snapshot(read(tmp_path, r, r.text(rows))) == snapshot(
             read(tmp_path, r, r.text()))
+
+
+# ---------------------------------------------------------------------------
+# the numpy fast path against the exact reader
+# ---------------------------------------------------------------------------
+
+READ_PLAIN = cells._read_plain
+
+
+def bitwise(value):
+    """Comparable form of a table or column in which every float is its
+    bytes, so that -0.0, NaN payloads and dtypes count."""
+    if dataclasses.is_dataclass(value):
+        return [(f.name, bitwise(getattr(value, f.name)))
+                for f in dataclasses.fields(value)]
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, dict):
+        return [(bitwise(k), bitwise(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [bitwise(v) for v in value]
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def outcome(read, path, fast=True):
+    """(columns the fast path was given, what it returned, the bitwise
+    table or the (class, message) of the error `read(path)` gave)."""
+    seen = [None, None]
+
+    def read_plain(path, columns):
+        seen[:] = columns, READ_PLAIN(path, columns) if fast else None
+        return seen[1]
+
+    with mock.patch.object(cells, "_read_plain", read_plain):
+        try:
+            result = bitwise(read(path))
+        except Exception as exc:
+            result = type(exc), str(exc)
+    return seen[0], seen[1], result
+
+
+def write(tmp_path, data):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return path
+
+
+def assert_same_as_exact(reader, path):
+    """The public reader gives the exact reader's table or error, and a
+    table the fast path read is bitwise the exact reader's columns."""
+    columns, fast, got = outcome(reader.read, path)
+    assert got == outcome(reader.read, path, fast=False)[2]
+    if fast is not None:
+        with mock.patch.object(cells, "_read_plain", lambda path, columns: None):
+            exact = cells.read_csv(path, columns, exact=reader.exact)
+        assert bitwise(fast) == bitwise(exact)
+    return fast
+
+
+PLAIN = {"text": ["a", "b", "c1", "1", "2.5"], "binary": ["0", "1"],
+         "tau": ["0.5", "-1.25", "", "1e-3"], "adoption": ["2", "3", "inf"],
+         "float": ["0.25", "0.5", "1", "1e-3", "-2"]}
+FLOATS = ["0", "-0.0", "+1", "10", " 1", "2.5 ", "\t0.5", "1_0", "\uff11",
+          "nan", "-nan", "inf", "-inf", "", "abc", "1e308", "1.7e308", "1e400",
+          "5e-324", "2.2250738585072014e-308", "\x0c1", "\xa01", "1\u2028",
+          "\x851", "\x1c1", "1\x1f", "#1", "0x10"]
+ODD = {
+    "text": [" pad ", "", "#x", '"a,b"', '"q"', "\xe9", "x\x00y", "say\x0bhi",
+             "\ufeffa"],
+    "binary": ["+1", "10", " 1", "1 ", "01", "2", "", "0.0", "-0"],
+    "tau": FLOATS + ["never", "NaN", "  "],
+    "adoption": ["4.0", "2.5", "1", "+2", "", "-inf", "never", "NEVER",
+                 "1_0", "nan"],
+    "float": FLOATS,
+}
+KIND = {"label": "text", "x": "text", "unit": "text", "d": "binary",
+        "z": "binary", "tau": "tau", "g": "adoption"}
+MICRO_HEADERS = [("x", "d"), ("x", "d", "y"), ("x", "d", "z"),
+                 ("x", "d", "z", "y")]
+
+
+FLAWS = ["header", "quote", "separator", "nul", "lone-cr", "blank-row",
+         "spaces-row", "commas-row", "short-row", "long-row", "hash-row",
+         "no-rows", "bad-byte"]
+
+
+@st.composite
+def csv_files(draw):
+    """A reader and the bytes of a file for it: rows of plain tokens, odd
+    ones and any float's repr (extreme and subnormal ones too), with at
+    most one of the `FLAWS`, so that a flaw the fast path missed would
+    show in an otherwise plain file."""
+    name = draw(st.sampled_from(sorted(READERS)))
+    header = list(READERS[name].header)
+    if name == "micro":
+        header = list(draw(st.sampled_from(MICRO_HEADERS)))
+    kinds = [KIND.get(col, "float") for col in header]
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = []
+        for kind in kinds:
+            pick = draw(st.integers(0, 19))
+            row.append(draw(
+                st.sampled_from(ODD[kind]) if pick == 0 else
+                st.floats().map(repr) if pick < 5 and kind != "binary" else
+                st.sampled_from(PLAIN[kind])))
+        rows.append(row)
+    flaw = draw(st.sampled_from([None] * 4 + FLAWS))
+    at, col = draw(st.integers(0, len(rows) - 1)), draw(
+        st.integers(0, len(header) - 1))
+    if flaw == "header":
+        header[col] = draw(st.sampled_from(["", "P", "y0", "x,y", "#"]))
+    elif flaw in ("quote", "separator", "nul"):
+        rows[at][col] = {"quote": '"%s"', "nul": "%s\x00",
+                         "separator": draw(st.sampled_from(
+                             ["\x1c%s", "%s\x1f"]))}[flaw] % rows[at][col]
+    elif flaw and flaw.endswith("-row"):
+        rows.insert(at, {"blank-row": [""], "spaces-row": ["  "],
+                         "commas-row": [" "] * len(header),
+                         "short-row": rows[at][:-1],
+                         "long-row": rows[at] + ["1"],
+                         "hash-row": ["#"] + rows[at][1:]}[flaw])
+    elif flaw == "no-rows":
+        rows = []
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["# comment"] * draw(st.integers(0, 2)) + [",".join(header)] + [
+        ",".join(row) for row in rows]
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    if flaw == "lone-cr":
+        cut = draw(st.integers(0, text.count(eol) - 1))
+        parts = text.split(eol)
+        text = eol.join(parts[:cut + 1]) + "\r" + eol.join(parts[cut + 1:])
+    data = text.encode()
+    if flaw == "bad-byte":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return name, data
+
+
+class TestFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(case=csv_files())
+    def test_agrees_with_the_exact_reader(self, tmp_path_factory, case):
+        name, data = case
+        path = write(tmp_path_factory.mktemp("csv"), data)
+        assert_same_as_exact(READERS[name], path)
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_plain_files_take_it(self, tmp_path, name):
+        r = READERS[name]
+        for eol in ("\n", "\r\n"):
+            path = write(tmp_path, r.text(comments=2, eol=eol))
+            assert assert_same_as_exact(r, path) is not None
+
+    def test_odd_tokens_that_both_readers_take(self, tmp_path):
+        r = READERS["micro"]
+        rows = with_value(r, 0, "y", "-0.0", with_value(r, 1, "y", "5e-324"))
+        rows[2][1:] = " 1", "\x1c0", "1e300\x1f"
+        path = write(tmp_path, r.text(rows))
+        assert assert_same_as_exact(r, path) is not None
+
+    @pytest.mark.parametrize("text", [
+        "x,d,y\na,1,0.5\nb,0,1.0,7\nc,1\n",      # long and short rows
+        "x,d,y\na,1,0.5\nb,0,1.0,7\n",           # an extra field
+        'x,d,y\n"a",1,0.5\nb,0,1.0\n',            # a quote
+        "x,d,y\na,1,0.5\rb,0,1.0\n",              # a lone CR
+        "x,d,y\na,1,0.5\n  \nb,0,1.0\n",          # a whitespace-only row
+        "x,d,y\na,1,0.5\n\nb,0,1.0\n",            # a blank row
+        "x,d,y\na,1,0.5\nb,0\n",                  # a short row
+        "x,d,y\na,1,%s1\nb,0,1.0\n" % (" " * (1 << 17)),  # a long field
+        "x,d,y\na\x00,1,0.5\nb,0,1.0\n",          # a NUL
+        b"x,d,y\n\xff,1,0.5\nb,0,1.0\n",          # bytes that do not decode
+        "x,d,y\na,+1,0.5\nb,0,1.0\n",             # not exactly 0/1
+        "x,d,y\na,10,0.5\nb,0,1.0\n",
+        "x,d,y\na,1,1_0\nb,0,1.0\n",              # float takes it, numpy not
+    ], ids=["long-and-short", "extra", "quote", "lone-cr", "spaces-row",
+            "blank-row", "short-row", "long-field", "nul", "undecodable",
+            "plus-one", "ten", "underscore"])
+    def test_declines(self, tmp_path, text):
+        path = write(tmp_path, text)
+        assert assert_same_as_exact(READERS["micro"], path) is None
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_empty_body_declines_without_a_warning(self, tmp_path, name):
+        r = READERS[name]
+        path = write(tmp_path, r.text(rows=[]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert assert_same_as_exact(r, path) is None
+            with pytest.raises(SchemaError, match="no data rows"):
+                r.read(path)
 
 
 # ---------------------------------------------------------------------------

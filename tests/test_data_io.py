@@ -224,9 +224,9 @@ class TestDgpSpec:
             )
 
     def test_json_round_trip(self):
-        spec = benchmark_spec(seed=11)
-        again = DgpSpec.from_json_dict(spec.to_json_dict())
-        assert again == spec
+        for make in (benchmark_spec, iv_spec, staggered_spec):
+            spec = make(seed=11)
+            assert DgpSpec.from_json_dict(spec.to_json_dict()) == spec
 
     def test_benchmark_oracle_share(self):
         spec = benchmark_spec()
