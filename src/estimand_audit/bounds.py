@@ -92,7 +92,7 @@ def ate_bounds_from_validity(mu_value, p_bar, sb):
 
 
 def _require_full_population(design):
-    if np.any(np.abs(design.w0 - 1.0) > 1e-12):
+    if not design.full_population:
         raise InvalidDesign(
             "the decomposition is stated for full-population estimands (w0 = 1)"
         )

@@ -21,7 +21,7 @@ import itertools
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,6 +154,11 @@ class CellTable:
     def pop_w0(self):
         """P(W0 = 1)."""
         return float(self.w0_mass.sum())
+
+    @property
+    def full_population(self):
+        """Whether W0 is the whole population: w0 = 1 in every cell."""
+        return bool(np.all(np.abs(self.w0 - 1.0) <= 1e-12))
 
     @property
     def mean_a_given_w0(self):
@@ -312,7 +317,7 @@ def discrete_weights(design):
     Only defined on full-population designs (w0 identically 1); weights may
     be negative but always sum to one.
     """
-    if np.any(np.abs(design.w0 - 1.0) > 1e-12):
+    if not design.full_population:
         raise InvalidDesign("one-sum weights are defined for w0 = 1 designs")
     den = float(design.a @ design.p)
     if abs(den) <= _degenerate_tol(design):

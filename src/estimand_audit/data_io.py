@@ -144,6 +144,8 @@ class PanelData:
             raise SchemaError("a panel needs at least two periods")
         if np.any(np.isnan(y)):
             raise UnbalancedPanel("missing outcomes; the panel must be balanced")
+        if np.any(np.isinf(y)):
+            raise SchemaError("outcome values must be finite")
         finite = g[~np.isinf(g)]
         if np.any((finite != np.round(finite)) | (finite < 2) | (finite > t)):
             raise SchemaError(f"adoption periods must lie in {{2,…,{t}}} or be inf")
@@ -207,13 +209,14 @@ def panel_to_group_distribution(panel):
 # synthetic data-generating processes
 # ---------------------------------------------------------------------------
 
-# the keys a JSON specification of each family may have, at the top
-# level and in each of its cells or groups
+# the keys a JSON specification of each family may have, in the order
+# `DgpSpec.to_json_dict` writes them: at the top level, whose last key
+# holds the cells or groups, and in each of those
 _SPEC_KEYS = {
-    "unconfoundedness": ({"cells"}, {"label", "mass", "p", "tau", "baseline"}),
-    "iv": ({"cells"}, {"label", "mass", "pz", "pc", "pa", "tau", "baseline"}),
-    "staggered_did": ({"t", "trend_slope", "groups"},
-                      {"g", "share", "tau", "baseline"}),
+    "unconfoundedness": (("cells",), ("label", "mass", "tau", "baseline", "p")),
+    "iv": (("cells",), ("label", "mass", "tau", "baseline", "pz", "pc", "pa")),
+    "staggered_did": (("t", "trend_slope", "groups"),
+                      ("g", "share", "tau", "baseline")),
 }
 FAMILIES = tuple(_SPEC_KEYS)
 
@@ -332,27 +335,14 @@ class DgpSpec:
     # -- serialization --------------------------------------------------
 
     def to_json_dict(self):
+        keys, item_keys = _SPEC_KEYS[self.family]
         out = {"family": self.family, "seed": self.seed,
                "noise_scale": self.noise_scale}
-        if self.family in ("unconfoundedness", "iv"):
-            cells = []
-            for c in self.cells:
-                cell = {"label": c.label, "mass": c.mass, "tau": c.tau,
-                        "baseline": c.baseline}
-                if self.family == "unconfoundedness":
-                    cell["p"] = c.p
-                else:
-                    cell.update(pz=c.pz, pc=c.pc, pa=c.pa)
-                cells.append(cell)
-            out["cells"] = cells
-        else:
-            out["t"] = self.t
-            out["trend_slope"] = self.trend_slope
-            out["groups"] = [
-                {"g": "inf" if math.isinf(g.g) else int(g.g),
-                 "share": g.share, "tau": g.tau, "baseline": g.baseline}
-                for g in self.groups
-            ]
+        out.update({key: getattr(self, key) for key in keys[:-1]})
+        out[keys[-1]] = [{key: getattr(item, key) for key in item_keys}
+                         for item in getattr(self, keys[-1])]
+        for group in out.get("groups", ()):
+            group["g"] = "inf" if math.isinf(group["g"]) else int(group["g"])
         return out
 
     @classmethod
@@ -383,11 +373,10 @@ def _check_keys(payload, keys, item_keys):
     """Reject a key the specification's family does not read."""
     parts = [("the specification", payload, {"family", "seed", "noise_scale",
                                               *keys})]
-    for part in sorted(keys & {"cells", "groups"}):
-        parts += [(f"{part[:-1]} {i}", item, item_keys)
-                  for i, item in enumerate(payload.get(part, ()), start=1)]
+    parts += [(f"{keys[-1][:-1]} {i}", item, item_keys)
+              for i, item in enumerate(payload.get(keys[-1], ()), start=1)]
     for where, obj, allowed in parts:
-        unknown = sorted(set(obj) - allowed)
+        unknown = sorted(set(obj).difference(allowed))
         if unknown:
             raise InvalidSpec(f"unknown key {unknown[0]!r} in {where}")
 

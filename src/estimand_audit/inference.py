@@ -35,7 +35,6 @@ from .errors import (
     ResampleDegenerate,
     SchemaError,
 )
-from .validity import check_uniform_existence
 
 _MAX_REDRAW_ROUNDS = 50
 
@@ -147,7 +146,6 @@ class BootstrapResult:
     q_alpha: float
     ci: tuple
     diagnostics: dict
-    status: str = "ok"
 
     def __post_init__(self):
         _store(self, draws=np.asarray(self.draws, dtype=float))
@@ -160,10 +158,10 @@ class BootstrapResult:
         return {
             "p_hat": self.p_hat,
             "p_hat_clipped": self.p_hat_clipped,
-            "q_alpha": None if math.isnan(self.q_alpha) else self.q_alpha,
+            "q_alpha": self.q_alpha,
             "ci": {"lo": self.ci[0], "hi": self.ci[1]},
             "n_draws": int(self.draws.shape[0]),
-            "status": self.status,
+            "status": "ok",
             "diagnostics": self.diagnostics,
         }
 
@@ -389,19 +387,6 @@ def bootstrap_ci(sample, family, cfg):
         argmax left the near-maximizer set).
     """
     ed = estimate_design(sample, family)
-    if not check_uniform_existence(ed.design):
-        # unreachable for the built-in families (their weights are
-        # nonnegative by construction) but kept for safety: with
-        # negative weights no subpopulation is represented and the
-        # share's bootstrap limit is degenerate at zero
-        return BootstrapResult(
-            p_hat=0.0,
-            draws=np.empty(0),
-            q_alpha=float("nan"),
-            ci=(0.0, 0.0),
-            diagnostics={},
-            status="no_representation",
-        )
     keep, p_hat, lf = _plug_in(ed, cfg)
     n = ed.n
     c = cfg.c_n(n)

@@ -175,6 +175,13 @@ def _hull_tol(values, mu0):
     return 1e-12 * max(1.0, float(np.max(np.abs(values))), abs(mu0))
 
 
+def _in_hull(values, mu0):
+    """Whether mu0 lies in the range of `values`, up to `_hull_tol`.  A mu0
+    that is not finite never does (its tolerance would be infinite)."""
+    tol = _hull_tol(values, mu0)
+    return math.isfinite(mu0) and values.min() - tol <= mu0 <= values.max() + tol
+
+
 def check_fixed_existence(design, mu0=None):
     """True iff the estimand value lies in the convex hull of the CATE
     values on the base subpopulation (a representation exists for this
@@ -182,8 +189,7 @@ def check_fixed_existence(design, mu0=None):
     values, _, _ = _conditional_tau(design, context="the existence check")
     if mu0 is None:
         mu0 = mu(design)
-    tol = _hull_tol(values, mu0)
-    return bool(values.min() - tol <= mu0 <= values.max() + tol)
+    return bool(_in_hull(values, mu0))
 
 
 def check_linear_cate_existence(design):
@@ -243,7 +249,7 @@ def uniform_internal_validity(design):
     design = normalize_sign(design)
     sub = design.w0_mass > 0
     a_max = float(design.a[sub].max())
-    if np.any(design.a[sub] < -NEG_TOL):
+    if not check_uniform_existence(design):
         return ValidityReport(False, 0.0, 0.0, a_max, None)
     a = np.clip(design.a, 0.0, None)
     p_internal = float((a[sub] * design.w0_mass[sub]).sum()
@@ -310,7 +316,6 @@ def fixed_tau_internal_validity(design_or_sample, mu0=None):
 
     mu0 = float(mu0)
     e0 = float(values @ q)
-    tol = _hull_tol(values, mu0)
 
     def package(p_internal, inclusion_values, trim):
         inclusion = None
@@ -330,7 +335,7 @@ def fixed_tau_internal_validity(design_or_sample, mu0=None):
         )
         return report, trim
 
-    if not values.min() - tol <= mu0 <= values.max() + tol:
+    if not _in_hull(values, mu0):
         direction = "above" if mu0 < e0 else "below"
         return package(
             0.0, None,
@@ -364,8 +369,7 @@ def fixed_tau_lp(design, mu0):
     and a cell that leaves it is never picked again."""
     values, q, _ = _conditional_tau(design, context="the size program")
     mu0 = float(mu0)
-    tol = _hull_tol(values, mu0)
-    if not values.min() - tol <= mu0 <= values.max() + tol:
+    if not _in_hull(values, mu0):
         raise InfeasibleProgram(
             f"mu0={mu0!r} lies outside the CATE range "
             f"[{values.min()!r}, {values.max()!r}]"

@@ -470,6 +470,14 @@ BAD_INPUTS = {
                                      "2,0.5,1.7e308,1,2\n"},
                            ("audit", "--design", "d.csv", "--json", "r.json"),
                            "moments.mu"),
+    "overflowing-fig2-mu0": ({"d.csv": "label,p,a,w0,tau\n1,0.5,1.7e308,1,1\n"
+                                       "2,0.5,1.7e308,1,2\n"},
+                             ("figure-data", "--which", "fig2", "--design",
+                              "d.csv", "--json", "r.json"), "default mu0"),
+    "infinite-panel-outcome": ({"p.csv": "unit,g,y1,y2\nu1,2,inf,1\n"
+                                         "u2,inf,0,1\n"},
+                               ("audit", "--family", "twfe_h", "--panel",
+                                "p.csv"), "outcome values must be finite"),
     "fractional-spec-group": ({"s.json": json.dumps({
         "family": "staggered_did", "t": 3,
         "groups": [{"g": 2.5, "share": 0.5}, {"g": "inf", "share": 0.5}]})},
@@ -513,6 +521,8 @@ BAD_OPTIONS = {
     "fig2-mu0-text": ("figure-data", "--which", "fig2", "--mu0", "abc"),
     "simulate-seed-negative": ("simulate", "--seed", "-1"),
     "bootstrap-seed-negative": ("bootstrap", "--seed", "-3"),
+    "simulate-n-zero": ("simulate", "--n", "0"),
+    "simulate-n-negative": ("simulate", "--n", "-3"),
 }
 
 

@@ -345,6 +345,24 @@ class TestNonFiniteOutcomes:
         with pytest.raises(SchemaError):
             load_micro(src)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_panel_rejects_infinite_outcomes(self, bad):
+        with pytest.raises(SchemaError, match="outcome values must be finite"):
+            PanelData(units=("u1", "u2"), g=[2, math.inf],
+                      y=[[bad, 1.0], [0.0, 1.0]])
+
+    def test_panel_missing_outcome_stays_unbalanced(self):
+        with pytest.raises(UnbalancedPanel):
+            PanelData(units=("u1", "u2"), g=[2, math.inf],
+                      y=[[math.nan, math.inf], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "1e999"])
+    def test_csv_panel_outcome_rejected(self, tmp_path, bad):
+        src = write(tmp_path / "p.csv",
+                    "unit,g,y1,y2\nu1,2,%s,1\nu2,inf,0,1\n" % bad)
+        with pytest.raises(SchemaError, match="outcome values must be finite"):
+            load_panel(src)
+
 
 # sha256 of the CSV bytes; captured before the spec validation was moved
 # into the tables each spec implies

@@ -118,6 +118,11 @@ class TestFixedExistence:
         with pytest.raises(MissingTau):
             check_fixed_existence(binary_design())
 
+    @pytest.mark.parametrize("mu0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_mu0_is_outside(self, mu0):
+        d = cell_table(("a", "b"), (0.5, 0.5), (1.0, 1.0), tau=(1.0, 2.0))
+        assert check_fixed_existence(d, mu0=mu0) is False
+
 
 class TestLinearCateExistence:
     def test_interior_barycenter(self):
@@ -315,6 +320,17 @@ class TestFixedTauInternalValidity:
         assert rep.inclusion is None
         assert trim.kept_mass == 0.0
 
+    @pytest.mark.parametrize("mu0,direction", [(math.inf, "below"),
+                                               (-math.inf, "above")])
+    def test_infinite_target(self, mu0, direction):
+        d = cell_table(("a", "b"), (0.5, 0.5), (1.0, 1.0), tau=(1.0, 2.0))
+        rep, trim = fixed_tau_internal_validity(d, mu0=mu0)
+        assert rep.exists is False
+        assert rep.p_internal == 0.0
+        assert rep.inclusion is None
+        assert trim.direction == direction
+        assert trim.kept_mass == 0.0
+
     def test_mirror_branch(self):
         # mu0 above E0 trims from below; mirror image of the oracle case
         d = cell_table(("0", "1"), (0.5, 0.5), (1.0, 1.0), tau=(0.0, 1.0))
@@ -409,6 +425,12 @@ class TestFixedTauLp:
         d = binary_design(tau=(3.0, 1.0))
         with pytest.raises(InfeasibleProgram):
             fixed_tau_lp(d, 5.0)
+
+    @pytest.mark.parametrize("mu0", [math.inf, -math.inf])
+    def test_infinite_target_is_infeasible(self, mu0):
+        d = cell_table(("a", "b"), (0.5, 0.5), (1.0, 1.0), tau=(1.0, 2.0))
+        with pytest.raises(InfeasibleProgram):
+            fixed_tau_lp(d, mu0)
 
     def test_ties_in_tau(self):
         d = cell_table(("a", "b", "c"), (0.25, 0.5, 0.25), (1.0, 1.0, 1.0),
