@@ -1,137 +1,15 @@
 """Audit toolkit for weighted causal estimands on discrete designs."""
 
-from .cells import (
-    CellTable,
-    MomentSummary,
-    SubpopulationRule,
-    cell_table,
-    discrete_weights,
-    moment_summary,
-    mu,
-    normalize_sign,
-    realize_subpop,
-    rng_stream,
-    subpop_profile,
-)
-from .designs import (
-    GroupDistribution,
-    IvCellTable,
-    PanelCellTable,
-    PropensityTable,
-    iv_design,
-    ols_ate_design,
-    ols_att_design,
-    ols_atu_design,
-    tsls_design,
-    twfe_cdh_design,
-    twfe_gb_weights,
-    twfe_h_design,
-)
-from .validity import (
-    TauSample,
-    TrimSolution,
-    ValidityReport,
-    adversarial_sign_check,
-    check_bounded_difference_existence,
-    check_fixed_existence,
-    check_linear_cate_existence,
-    check_uniform_existence,
-    check_weakly_causal,
-    fixed_tau_bruteforce,
-    fixed_tau_internal_validity,
-    fixed_tau_lp,
-    uniform_internal_validity,
-)
-from .bounds import (
-    Interval,
-    SignDecomposition,
-    SupportBounds,
-    ate_bounds_from_validity,
-    ate_bounds_general,
-    decompose_negative_weights,
-)
-from .data_io import (
-    DgpSpec,
-    MicroSample,
-    PanelData,
-    load_micro,
-    load_panel,
-    panel_to_group_distribution,
-    simulate,
-)
-from .inference import (
-    BootstrapConfig,
-    BootstrapResult,
-    EstimatedDesign,
-    LimitFunctional,
-    bootstrap_ci,
-    estimate_design,
-    estimate_uniform_validity,
-    psi_apply,
-    psi_hat_build,
-)
-from . import errors
+from . import bounds, cells, data_io, designs, errors, inference, validity
+from .bounds import *
+from .cells import *
+from .data_io import *
+from .designs import *
+from .inference import *
+from .validity import *
 
-__all__ = [
-    "BootstrapConfig",
-    "BootstrapResult",
-    "CellTable",
-    "DgpSpec",
-    "EstimatedDesign",
-    "GroupDistribution",
-    "Interval",
-    "IvCellTable",
-    "LimitFunctional",
-    "MicroSample",
-    "MomentSummary",
-    "PanelCellTable",
-    "PanelData",
-    "PropensityTable",
-    "SignDecomposition",
-    "SubpopulationRule",
-    "SupportBounds",
-    "TauSample",
-    "TrimSolution",
-    "ValidityReport",
-    "adversarial_sign_check",
-    "ate_bounds_from_validity",
-    "ate_bounds_general",
-    "bootstrap_ci",
-    "cell_table",
-    "check_bounded_difference_existence",
-    "check_fixed_existence",
-    "check_linear_cate_existence",
-    "check_uniform_existence",
-    "check_weakly_causal",
-    "decompose_negative_weights",
-    "discrete_weights",
-    "errors",
-    "estimate_design",
-    "estimate_uniform_validity",
-    "fixed_tau_bruteforce",
-    "fixed_tau_internal_validity",
-    "fixed_tau_lp",
-    "iv_design",
-    "load_micro",
-    "load_panel",
-    "moment_summary",
-    "mu",
-    "normalize_sign",
-    "ols_ate_design",
-    "ols_att_design",
-    "ols_atu_design",
-    "panel_to_group_distribution",
-    "psi_apply",
-    "psi_hat_build",
-    "realize_subpop",
-    "rng_stream",
-    "simulate",
-    "subpop_profile",
-    "tsls_design",
-    "twfe_cdh_design",
-    "twfe_gb_weights",
-    "twfe_h_design",
-    "uniform_internal_validity",
-]
+__all__ = sorted([*bounds.__all__, *cells.__all__, *data_io.__all__,
+                  *designs.__all__, *inference.__all__, *validity.__all__,
+                  "errors"])
 
 __version__ = "0.1.0"

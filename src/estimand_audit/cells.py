@@ -35,6 +35,20 @@ from .errors import (
     SchemaError,
 )
 
+__all__ = [
+    "CellTable",
+    "MomentSummary",
+    "SubpopulationRule",
+    "cell_table",
+    "discrete_weights",
+    "moment_summary",
+    "mu",
+    "normalize_sign",
+    "realize_subpop",
+    "rng_stream",
+    "subpop_profile",
+]
+
 MASS_TOL = 1e-9  # absolute tolerance for probability-sum invariants
 
 
@@ -268,9 +282,11 @@ class MomentSummary:
 
 
 def _degenerate_tol(design):
+    """Relative to the mean |a|, so that rescaling a never changes the
+    verdict; a zero scale gives zero, which still rejects a = 0."""
     m = design.w0_mass
     scale = float((np.abs(design.a) * m).sum() / m.sum())
-    return 1e-12 * max(1.0, scale)
+    return 1e-12 * scale
 
 
 def normalize_sign(design):

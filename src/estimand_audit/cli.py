@@ -37,10 +37,12 @@ from .inference import (
     BootstrapConfig,
     _plug_in,
     bootstrap_ci,
+    clip_share,
     estimate_design,
     estimate_uniform_validity,
 )
 from .validity import (
+    BRUTE_FORCE_LIMIT,
     fixed_tau_bruteforce,
     fixed_tau_internal_validity,
     fixed_tau_lp,
@@ -50,7 +52,6 @@ from .validity import (
 SCHEMA_VERSION = 1
 
 SOLVER_TOL = 1e-9
-_BRUTE_FORCE_LIMIT = 12
 
 # The input flags of each primitive table type; a GroupDistribution is
 # read from --groups or counted from a --panel.
@@ -196,13 +197,13 @@ def _fixed_tau_payload(design, mu0, warnings):
     except InfeasibleProgram:
         solvers["mass_reduction"] = 0.0
         warnings.append("mu0 lies outside the range of the supplied tau values")
-    if design.k <= _BRUTE_FORCE_LIMIT:
+    if design.k <= BRUTE_FORCE_LIMIT:
         solvers["brute_force"] = fixed_tau_bruteforce(design, mu0)
     else:
         solvers["brute_force"] = None
         warnings.append(
             "brute-force cross-check skipped: design has more than %d cells"
-            % _BRUTE_FORCE_LIMIT
+            % BRUTE_FORCE_LIMIT
         )
     values = [v for v in solvers.values() if v is not None]
     agreement = max(values) - min(values) <= SOLVER_TOL
@@ -220,6 +221,9 @@ def _fixed_tau_payload(design, mu0, warnings):
 def _ate_bounds(args, mu_value, uniform):
     """The support bounds of --b-lo/--b-hi, the report keys of the ATE
     interval they give with the representable share, and its line."""
+    if mu_value is None:
+        raise MissingTau("the ATE bounds need the estimand value: supply tau "
+                         "in the design (bounds also takes --mu)")
     sb = SupportBounds(args.b_lo, args.b_hi)
     interval = ate_bounds_from_validity(mu_value, uniform.p_representative, sb)
     keys = {"support": {"lo": sb.b_lo, "hi": sb.b_hi},
@@ -281,10 +285,6 @@ def cmd_audit(args, parser):
         raise MissingTau("--mu0 is only meaningful for designs with tau values")
     lines = _audit_table(family, design, summary, uniform, fixed)
     if args.b_lo is not None:
-        if summary.mu is None:
-            raise MissingTau(
-                "bounds need the estimand value; supply tau in the design"
-            )
         _, payload["bounds"], line = _ate_bounds(args, summary.mu, uniform)
         lines.append(line)
     return _emit(args, payload, lines)
@@ -295,10 +295,6 @@ def cmd_bounds(args, parser):
     summary = moment_summary(design)
     uniform = uniform_internal_validity(design)
     mu_value = args.mu if args.mu is not None else summary.mu
-    if mu_value is None:
-        raise MissingTau(
-            "the estimand value is unknown: supply tau in the design or --mu"
-        )
     sb, ate, line = _ate_bounds(args, mu_value, uniform)
     payload = {
         "family": family,
@@ -350,7 +346,7 @@ def cmd_estimate(args, parser):
         "c_n": c_n,
         "cells": cells,
         "p_hat": float(p_hat),
-        "p_hat_clipped": min(max(float(p_hat), 0.0), 1.0),
+        "p_hat_clipped": clip_share(p_hat),
         "trimmed_cells": trimmed,
     }
     lines = [

@@ -39,8 +39,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ESTIMAND_FAMILIES",
-    "EstimandFamily",
     "GroupDistribution",
     "IvCellTable",
     "PanelCellTable",

@@ -36,6 +36,18 @@ from .errors import (
     SchemaError,
 )
 
+__all__ = [
+    "BootstrapConfig",
+    "BootstrapResult",
+    "EstimatedDesign",
+    "LimitFunctional",
+    "bootstrap_ci",
+    "estimate_design",
+    "estimate_uniform_validity",
+    "psi_apply",
+    "psi_hat_build",
+]
+
 _MAX_REDRAW_ROUNDS = 50
 
 
@@ -132,6 +144,11 @@ class LimitFunctional:
         return self.coef_a.shape[0]
 
 
+def clip_share(p):
+    """The reported share: a plug-in value clipped to [0, 1]."""
+    return min(max(float(p), 0.0), 1.0)
+
+
 @dataclasses.dataclass(frozen=True)
 class BootstrapResult:
     """One-sided interval for the representable share.
@@ -152,7 +169,7 @@ class BootstrapResult:
 
     @property
     def p_hat_clipped(self):
-        return min(max(self.p_hat, 0.0), 1.0)
+        return clip_share(self.p_hat)
 
     def to_json_dict(self):
         return {

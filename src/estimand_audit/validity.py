@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 NEG_TOL = 1e-12  # weights above -NEG_TOL count as nonnegative
+BRUTE_FORCE_LIMIT = 12  # cells; the enumeration visits 2**K patterns
 
 
 @dataclass(frozen=True)
@@ -207,10 +208,12 @@ def check_linear_cate_existence(design):
     bary = (design.a * m) @ x / float((design.a * m).sum())
     pts = x[sub]
     if pts.shape[1] == 1:
-        lo, hi = float(pts.min()), float(pts.max())
-        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-        return bool(lo - tol <= bary[0] <= hi + tol)
-    from scipy.optimize import linprog
+        return bool(_in_hull(pts[:, 0], float(bary[0])))
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        raise AuditError("the linear-CATE check needs scipy for labels of "
+                         "dimension 2 or more") from None
 
     res = linprog(
         c=np.zeros(pts.shape[0]),
@@ -404,13 +407,13 @@ def fixed_tau_bruteforce(design, mu0):
 
     A vertex of the feasible set has at most one coordinate strictly
     between its bounds, so every {0, q_k} pattern is tried with every
-    candidate interior coordinate.  Intended as an oracle; K <= 12.
+    candidate interior coordinate.  An oracle for K <= BRUTE_FORCE_LIMIT.
     """
     values, q, _ = _conditional_tau(design, context="the size program")
     k = len(values)
-    if k > 12:
+    if k > BRUTE_FORCE_LIMIT:
         raise InstanceTooLarge(
-            "brute-force enumeration is capped at 12 cells"
+            "brute-force enumeration is capped at %d cells" % BRUTE_FORCE_LIMIT
         )
     t = values - float(mu0)
     tol = 1e-12 * max(1.0, float(np.abs(t) @ q))

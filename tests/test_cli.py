@@ -84,6 +84,18 @@ class TestAuditDesign:
         assert payload["fixed_tau"] is None
         assert payload["bounds"] is None
 
+    def test_tiny_scale_weights(self, tmp_path):
+        # a = (1, 3) gives the same report up to rounding
+        src = tmp_path / "tiny.csv"
+        src.write_text("label,p,a,w0,tau\n0,0.5,1e-13,1,1\n1,0.5,3e-13,1,2\n")
+        out = tmp_path / "r.json"
+        assert run("audit", "--design", src, "--json", out, "--quiet") == 0
+        payload = json.loads(out.read_text())
+        assert payload["moments"]["mu"] == pytest.approx(1.75, rel=1e-12)
+        assert payload["uniform"]["exists"] is True
+        assert payload["uniform"]["p_internal"] == pytest.approx(2 / 3, rel=1e-12)
+        assert payload["fixed_tau"]["trim"]["kept_mass"] == pytest.approx(2 / 3, rel=1e-12)
+
     def test_human_table(self, tmp_path, capsys):
         src = tmp_path / "bench.csv"
         src.write_text(BENCH_CSV)
@@ -425,6 +437,10 @@ def exits_with_error(capsys, *args):
     return code == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
+GROUPS_CSV = "g,share\n2,0.7\n3,0.25\ninf,0.05\n"
+MISSING_ESTIMAND = ("the ATE bounds need the estimand value: supply tau in "
+                    "the design (bounds also takes --mu)")
+
 BAD_INPUTS = {
     "missing-design": ({}, ("audit", "--design", "none.csv"), "none.csv"),
     "missing-data": ({}, ("estimate", "--family", "ols_ate", "--data",
@@ -478,6 +494,12 @@ BAD_INPUTS = {
                                          "u2,inf,0,1\n"},
                                ("audit", "--family", "twfe_h", "--panel",
                                 "p.csv"), "outcome values must be finite"),
+    "audit-bounds-without-tau": ({"g.csv": GROUPS_CSV}, (
+        "audit", "--family", "twfe_h", "--groups", "g.csv", "--b-lo", "0",
+        "--b-hi", "1"), MISSING_ESTIMAND),
+    "bounds-without-tau": ({"g.csv": GROUPS_CSV}, (
+        "bounds", "--family", "twfe_h", "--groups", "g.csv", "--b-lo", "0",
+        "--b-hi", "1"), MISSING_ESTIMAND),
     "fractional-spec-group": ({"s.json": json.dumps({
         "family": "staggered_did", "t": 3,
         "groups": [{"g": 2.5, "share": 0.5}, {"g": "inf", "share": 0.5}]})},

@@ -9,12 +9,17 @@ counts imply, and that the batched directional derivative agrees with
 one evaluation per perturbation.
 """
 
+import ast
 import hashlib
+import importlib
+import inspect
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import estimand_audit
 from estimand_audit import cli
 from estimand_audit.data_io import DgpSpec, MicroSample, simulate
 from estimand_audit.designs import ESTIMAND_FAMILIES, IvCellTable, PropensityTable
@@ -226,3 +231,54 @@ def test_psi_apply_rejects_wrong_shapes(shape):
     lf = LimitFunctional(np.ones(4), np.ones(4), np.ones(4), 1.0, (0, 2))
     with pytest.raises(DimensionMismatch):
         psi_apply(lf, np.zeros(shape))
+
+
+PUBLIC_NAMES = [
+    "BootstrapConfig", "BootstrapResult", "CellTable", "DgpSpec",
+    "EstimatedDesign", "GroupDistribution", "Interval", "IvCellTable",
+    "LimitFunctional", "MicroSample", "MomentSummary", "PanelCellTable",
+    "PanelData", "PropensityTable", "SignDecomposition", "SubpopulationRule",
+    "SupportBounds", "TauSample", "TrimSolution", "ValidityReport",
+    "adversarial_sign_check", "ate_bounds_from_validity", "ate_bounds_general",
+    "bootstrap_ci", "cell_table", "check_bounded_difference_existence",
+    "check_fixed_existence", "check_linear_cate_existence",
+    "check_uniform_existence", "check_weakly_causal",
+    "decompose_negative_weights", "discrete_weights", "errors",
+    "estimate_design", "estimate_uniform_validity", "fixed_tau_bruteforce",
+    "fixed_tau_internal_validity", "fixed_tau_lp", "iv_design", "load_micro",
+    "load_panel", "moment_summary", "mu", "normalize_sign", "ols_ate_design",
+    "ols_att_design", "ols_atu_design", "panel_to_group_distribution",
+    "psi_apply", "psi_hat_build", "realize_subpop", "rng_stream", "simulate",
+    "subpop_profile", "tsls_design", "twfe_cdh_design", "twfe_gb_weights",
+    "twfe_h_design", "uniform_internal_validity",
+]
+SURFACE_MODULES = ("bounds", "cells", "data_io", "designs", "inference", "validity")
+
+
+def top_level_names(module):
+    """Names a module defines itself: its functions, classes and assignments."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_public_surface():
+    assert sorted(estimand_audit.__all__) == PUBLIC_NAMES
+    assert estimand_audit.errors is importlib.import_module("estimand_audit.errors")
+    modules = [importlib.import_module("estimand_audit." + m) for m in SURFACE_MODULES]
+    owned = {m.__name__: top_level_names(m) for m in modules}
+    lists = {m.__name__: set(vars(m).get("__all__", ())) for m in modules}
+    for name, names in lists.items():
+        assert names <= owned[name], name
+    for a, b in combinations(lists, 2):
+        assert not lists[a] & lists[b], (a, b)
+    # every other exported name resolves to the object of its one owner
+    for name in set(PUBLIC_NAMES) - {"errors"}:
+        homes = [m for m in modules if name in owned[m.__name__]]
+        assert len(homes) == 1, name
+        assert getattr(estimand_audit, name) is getattr(homes[0], name)

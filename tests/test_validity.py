@@ -11,12 +11,13 @@ before the closed forms were implemented:
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from estimand_audit.cells import SubpopulationRule, cell_table, mu
+from estimand_audit.cells import SubpopulationRule, cell_table, discrete_weights, mu
 from estimand_audit.designs import (
     GroupDistribution,
     IvCellTable,
@@ -27,6 +28,7 @@ from estimand_audit.designs import (
     twfe_h_design,
 )
 from estimand_audit.errors import (
+    AuditError,
     DegenerateWeights,
     InfeasibleProgram,
     InstanceTooLarge,
@@ -157,6 +159,12 @@ class TestLinearCateExistence:
         bary = bary / float(outside.a @ np.asarray(p))
         assert np.any(bary > 1.0)  # sanity: really outside the hull
         assert check_linear_cate_existence(outside) is False
+
+    def test_missing_scipy_is_an_audit_error(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        d = cell_table(("0;0", "1;0", "0;1"), (0.3, 0.3, 0.4), (1.0, 1.0, 1.0))
+        with pytest.raises(AuditError, match="scipy"):
+            check_linear_cate_existence(d)
 
 
 class TestBoundedDifferenceExistence:
@@ -526,3 +534,22 @@ class TestReportSerialization:
     def test_nonexistence_serializes_null_inclusion(self):
         rep = uniform_internal_validity(three_point_design())
         assert rep.to_json_dict()["inclusion"] is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), power=st.integers(-60, 59),
+       random_w0=st.booleans())
+def test_shares_invariant_to_weight_scale(seed, power, random_w0):
+    """Rescaling a by a power of two is exact, so the estimand, the one-sum
+    weights and the uniform shares keep every bit, at any scale of a.
+    The weights are positive: `NEG_TOL` is an absolute floor on a."""
+    d = random_design(np.random.default_rng(seed), with_tau=True,
+                      random_w0=random_w0)
+    scaled = d.with_a(d.a * 2.0**power)
+    assert mu(scaled) == mu(d)
+    if d.full_population:
+        assert np.array_equal(discrete_weights(scaled), discrete_weights(d))
+    report, scaled_report = (uniform_internal_validity(t).to_json_dict()
+                             for t in (d, scaled))
+    assert scaled_report.pop("a_max") == report.pop("a_max") * 2.0**power
+    assert scaled_report == report
