@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import _as_float_array, mu, normalize_sign
+from .cells import _as_float_array, clip_share, mu, normalize_sign
 from .errors import InvalidDesign, InvalidSupport
 
 __all__ = [
@@ -84,7 +84,7 @@ def ate_bounds_from_validity(mu_value, p_bar, sb):
     estimand value and the representative share p_bar."""
     if not -1e-12 <= p_bar <= 1 + 1e-12:
         raise InvalidDesign(f"p_bar={p_bar!r} is not a probability")
-    p = min(1.0, max(0.0, float(p_bar)))
+    p = clip_share(p_bar)
     return Interval(
         mu_value * p + sb.b_lo * (1.0 - p),
         mu_value * p + sb.b_hi * (1.0 - p),
@@ -123,4 +123,4 @@ def ate_bounds_general(design, mu_value, sb):
     _require_full_population(design)
     design = normalize_sign(design)
     r = float(design.a @ design.p) / float(design.a.max())
-    return ate_bounds_from_validity(mu_value, min(1.0, max(0.0, r)), sb)
+    return ate_bounds_from_validity(mu_value, clip_share(r), sb)

@@ -281,12 +281,21 @@ class MomentSummary:
 # ---------------------------------------------------------------------------
 
 
-def _degenerate_tol(design):
-    """Relative to the mean |a|, so that rescaling a never changes the
-    verdict; a zero scale gives zero, which still rejects a = 0."""
+def clip_share(p):
+    """The reported share: a plug-in value clipped to [0, 1]."""
+    return min(max(float(p), 0.0), 1.0)
+
+
+def _weight_scale(design):
+    """The mean |a| on the base subpopulation.  The weight tolerances are
+    relative to it, so that rescaling a never changes a verdict."""
     m = design.w0_mass
-    scale = float((np.abs(design.a) * m).sum() / m.sum())
-    return 1e-12 * scale
+    return float((np.abs(design.a) * m).sum() / m.sum())
+
+
+def _degenerate_tol(design):
+    """A zero scale gives zero, which still rejects a = 0."""
+    return 1e-12 * _weight_scale(design)
 
 
 def normalize_sign(design):

@@ -26,8 +26,8 @@ from .bounds import (
     ate_bounds_general,
     decompose_negative_weights,
 )
-from .cells import (CellTable, _BadField, moment_summary, normalize_sign,
-                    open_atomic, quoted, tau_col, write_csv)
+from .cells import (CellTable, _BadField, clip_share, moment_summary,
+                    normalize_sign, open_atomic, quoted, tau_col, write_csv)
 from .data_io import DgpSpec, load_micro, load_panel, panel_to_group_distribution, simulate
 from .designs import ESTIMAND_FAMILIES, GroupDistribution, IvCellTable, PropensityTable
 from .errors import (AuditError, InfeasibleProgram, InvalidDesign, InvalidSpec,
@@ -37,7 +37,6 @@ from .inference import (
     BootstrapConfig,
     _plug_in,
     bootstrap_ci,
-    clip_share,
     estimate_design,
     estimate_uniform_validity,
 )

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .cells import CellTable, _store, cell_table, rng_stream
+from .cells import CellTable, _store, cell_table, clip_share, rng_stream
 from .designs import ESTIMAND_FAMILIES, IvCellTable, PropensityTable
 from .errors import (
     AllCellsTrimmed,
@@ -142,11 +142,6 @@ class LimitFunctional:
     @property
     def k(self):
         return self.coef_a.shape[0]
-
-
-def clip_share(p):
-    """The reported share: a plug-in value clipped to [0, 1]."""
-    return min(max(float(p), 0.0), 1.0)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .cells import (
     _as_float_array,
     _masses,
     _store,
+    _weight_scale,
     mu,
     normalize_sign,
 )
@@ -57,7 +58,7 @@ __all__ = [
     "uniform_internal_validity",
 ]
 
-NEG_TOL = 1e-12  # weights above -NEG_TOL count as nonnegative
+NEG_TOL = 1e-12  # weights above -NEG_TOL * mean |a| count as nonnegative
 BRUTE_FORCE_LIMIT = 12  # cells; the enumeration visits 2**K patterns
 
 
@@ -139,7 +140,7 @@ def check_uniform_existence(design):
     subpopulation."""
     design = normalize_sign(design)
     sub = design.w0_mass > 0
-    return bool(np.all(design.a[sub] >= -NEG_TOL))
+    return bool(np.all(design.a[sub] >= -NEG_TOL * _weight_scale(design)))
 
 
 def check_weakly_causal(design):

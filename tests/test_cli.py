@@ -96,6 +96,23 @@ class TestAuditDesign:
         assert payload["uniform"]["p_internal"] == pytest.approx(2 / 3, rel=1e-12)
         assert payload["fixed_tau"]["trim"]["kept_mass"] == pytest.approx(2 / 3, rel=1e-12)
 
+    def test_tiny_scale_negative_weight(self, tmp_path):
+        # a negative weight far below 1e-12 still rules out the uniform
+        # representation, so the ATE bounds match those at a = (3, -1)
+        payloads = []
+        for scale in ("e-13", ""):
+            src = tmp_path / f"neg{scale}.csv"
+            src.write_text(f"label,p,a,w0,tau\n0,0.5,3{scale},1,1\n"
+                           f"1,0.5,-1{scale},1,2\n")
+            out = tmp_path / f"neg{scale}.json"
+            assert run("audit", "--design", src, "--json", out, "--quiet",
+                       "--b-lo", "0", "--b-hi", "3") == 0
+            payloads.append(json.loads(out.read_text()))
+        tiny, unit = payloads
+        assert tiny["uniform"]["exists"] is unit["uniform"]["exists"] is False
+        assert tiny["uniform"]["p_internal"] == unit["uniform"]["p_internal"] == 0.0
+        assert tiny["bounds"] == unit["bounds"]
+
     def test_human_table(self, tmp_path, capsys):
         src = tmp_path / "bench.csv"
         src.write_text(BENCH_CSV)

@@ -541,10 +541,10 @@ class TestReportSerialization:
        random_w0=st.booleans())
 def test_shares_invariant_to_weight_scale(seed, power, random_w0):
     """Rescaling a by a power of two is exact, so the estimand, the one-sum
-    weights and the uniform shares keep every bit, at any scale of a.
-    The weights are positive: `NEG_TOL` is an absolute floor on a."""
-    d = random_design(np.random.default_rng(seed), with_tau=True,
-                      random_w0=random_w0)
+    weights and the uniform shares keep every bit, at any scale of a, for
+    weights of either sign."""
+    d = random_design(np.random.default_rng(seed), allow_negative_a=True,
+                      with_tau=True, random_w0=random_w0)
     scaled = d.with_a(d.a * 2.0**power)
     assert mu(scaled) == mu(d)
     if d.full_population:
