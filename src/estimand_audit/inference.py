@@ -441,7 +441,7 @@ def bootstrap_ci(sample, family, cfg):
         )
 
     q_alpha = float(np.quantile(draws, cfg.alpha))
-    upper = min(1.0, max(0.0, p_hat - q_alpha / root_n))
+    upper = clip_share(p_hat - q_alpha / root_n)
     diagnostics = {
         "trimmed_cells": [d.labels[i] for i in np.flatnonzero(~keep)],
         "fallback_coordinates": fallback,

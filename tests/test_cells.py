@@ -1,6 +1,7 @@
 """Tests for the discrete design model and the weighted-estimand functional."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from estimand_audit.cells import (
     CellTable,
     SubpopulationRule,
     cell_table,
+    clip_share,
     discrete_weights,
     moment_summary,
     mu,
@@ -55,6 +57,15 @@ class TestCellTableValidation:
     def test_numeric_labels_optional(self):
         d = cell_table(("0", "1"), p=(0.5, 0.5), a=(1.0, 2.0), x=(0.0, 1.0))
         assert d.x is not None and d.x.shape == (2,)
+
+
+def test_clip_share():
+    assert clip_share(1.5) == 1.0
+    assert clip_share(-0.5) == 0.0
+    assert clip_share(0.25) == 0.25
+    # NaN passes through and a negative zero keeps its sign
+    assert math.isnan(clip_share(math.nan))
+    assert math.copysign(1.0, clip_share(-0.0)) == -1.0
 
 
 class TestNormalizeSign:

@@ -261,6 +261,14 @@ class TestBootstrapCi:
         expect = min(1.0, max(0.0, res.p_hat - q / np.sqrt(s.n)))
         assert res.ci == (0.0, pytest.approx(expect, abs=0))
 
+    def test_upper_end_clipped_to_one(self):
+        # the raw share exceeds 1 (see test_raw_estimate_can_exceed_one),
+        # and so does p_hat - q_alpha / sqrt(n); the reported end is 1.0
+        s = exact_sample({"a": (238, 12), "b": (125, 125)})
+        res = bootstrap_ci(s, "ols_att", CFG)
+        assert res.p_hat - res.q_alpha / np.sqrt(s.n) > 1.0
+        assert res.ci == (0.0, 1.0)
+
     def test_upper_bound_tracks_the_truth(self):
         spec = DgpSpec.from_json_dict({
             "family": "unconfoundedness",

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from estimand_audit import validity
 from estimand_audit.cells import SubpopulationRule, cell_table, discrete_weights, mu
 from estimand_audit.designs import (
     GroupDistribution,
@@ -452,19 +453,32 @@ class TestFixedTauLp:
 
 @st.composite
 def fixed_tau_programs(draw):
-    """Designs of up to 300 cells, tau tied on a small integer grid or
-    not, and a mu0 anywhere in tau's range (its ends and the tau values
-    included); the cell columns come from a drawn seed."""
+    """Designs of up to 300 cells and a mu0 anywhere in tau's range (its
+    ends and the tau values included).  tau is tied on a small integer
+    grid or not, and half the time scaled by 2**e, from subnormal to
+    about 1e302.  With dyadic masses on integer tau every prefix sum is
+    exact, so one is exactly 0 at the crossing, the case the solver's
+    error bound cannot settle.  The cell columns come from a drawn
+    seed."""
     k = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        tau = rng.integers(-3, 4, k).astype(float)
-    else:
+    shape = draw(st.sampled_from(["ties", "normal", "dyadic"]))
+    if shape == "normal":
         tau = rng.normal(0.0, 2.0, k)
-    p = rng.uniform(0.01, 1.0, k)
-    w0 = np.where(rng.random(k) < 0.3, 1.0, rng.uniform(0.0, 1.0, k))
-    w0[0] = 1.0
-    design = cell_table(tuple(map(str, range(k))), p / p.sum(), np.ones(k),
+    else:
+        tau = rng.integers(-3, 4, k).astype(float)
+    if shape == "dyadic":
+        counts = rng.integers(1, 9, k)
+        total = 1 << int(counts.sum() - 1).bit_length()
+        counts[0] += total - counts.sum()
+        p, w0 = counts / total, np.ones(k)
+    else:
+        p = rng.uniform(0.01, 1.0, k)
+        p = p / p.sum()
+        w0 = np.where(rng.random(k) < 0.3, 1.0, rng.uniform(0.0, 1.0, k))
+        w0[0] = 1.0
+    tau = tau * 2.0 ** draw(st.just(0) | st.integers(-1070, 1000))
+    design = cell_table(tuple(map(str, range(k))), p, np.ones(k),
                         w0=w0, tau=tau)
     lo, hi = _tau_range(design)
     mu0 = draw(st.sampled_from(tau.tolist()) | st.sampled_from([lo, hi])
@@ -472,17 +486,110 @@ def fixed_tau_programs(draw):
     return design, mu0
 
 
-@settings(max_examples=300, deadline=None)
+def _outcome(solve, design, mu0):
+    """The solver's value as hex, or the error it raised."""
+    try:
+        return solve(design, mu0).hex()
+    except (AuditError, RuntimeWarning) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=500, deadline=None)
 @given(program=fixed_tau_programs())
 def test_fixed_tau_lp_equals_the_rescanning_reference(program):
     design, mu0 = program
-    try:
-        expected = reference_fixed_tau_lp(design, mu0)
-    except InfeasibleProgram:
-        with pytest.raises(InfeasibleProgram):
-            fixed_tau_lp(design, mu0)
-        return
-    assert fixed_tau_lp(design, mu0) == expected
+    assert (_outcome(fixed_tau_lp, design, mu0)
+            == _outcome(reference_fixed_tau_lp, design, mu0))
+
+
+def perfbench_like_design(k=20000, seed=20):
+    """A design shaped like perfbench's 20,000-cell `audit --design`
+    input: near-uniform masses, a quarter of w0 at 1, tau ~ N(0, 2^2)."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.5, 1.5, k)
+    w0 = rng.uniform(0.0, 1.0, k)
+    w0[rng.random(k) < 0.25] = 1.0
+    return cell_table(tuple(map(str, range(k))), m / m.sum(),
+                      rng.uniform(0.05, 1.0, k), w0=w0,
+                      tau=rng.normal(0.0, 2.0, k))
+
+
+@pytest.fixture(scope="module")
+def large_design():
+    return perfbench_like_design()
+
+
+@pytest.mark.parametrize("percentile", [10, 90])
+def test_fixed_tau_lp_matches_the_reference_on_a_large_design(
+        large_design, percentile):
+    values, _, _ = validity._conditional_tau(large_design)
+    mu0 = float(np.percentile(values, percentile))
+    assert (fixed_tau_lp(large_design, mu0).hex()
+            == reference_fixed_tau_lp(large_design, mu0).hex())
+
+
+@pytest.mark.parametrize("percentile", [10, 90])
+def test_the_loop_runs_only_the_undecided_steps(
+        large_design, percentile, monkeypatch):
+    values, _, sub = validity._conditional_tau(large_design)
+    mu0 = float(np.percentile(values, percentile))
+    decided = []
+    count = validity._decided_steps
+    monkeypatch.setattr(validity, "_decided_steps",
+                        lambda *args: decided.append(count(*args)) or decided[-1])
+    fixed_tau_lp(large_design, mu0)
+    # the closed form's trimmed cells, the atom included, are the cells
+    # the mass reduction moves off capacity, one per step
+    report, trim = fixed_tau_internal_validity(large_design, mu0)
+    moved = int(np.count_nonzero(report.inclusion.inclusion[sub] < 1.0))
+    assert trim.direction == ("above" if percentile == 10 else "below")
+    taken, other = decided if percentile == 10 else decided[::-1]
+    assert moved > 10000 and other == 0
+    assert moved - taken <= 3
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan])
+def test_a_margin_that_is_not_finite_decides_nothing(large_design, scale):
+    values, q, _ = validity._conditional_tau(large_design)
+    order = np.argsort(values, kind="stable")
+    t = values[order] - float(np.percentile(values, 10))
+    q = q[order]
+    assert validity._decided_steps(t, q, float(np.abs(t) @ q), 1e-12) > 0
+    assert validity._decided_steps(t, q, scale, 1e-12) == 0
+
+
+def test_decided_steps_allow_for_the_rounding_of_the_running_sums():
+    # 2**17 products of -2**-54 vanish into the running sum -0.5 (ties to
+    # even), so the rounded sums read 2**-38 above the exact ones, and the
+    # exact prefix below the second-highest cell is -2**-38; every product
+    # is a whole multiple of 2**-54, so int64 sums of them are exact
+    n = 2**17
+    t = np.concatenate(([-1.0], np.full(n, -2.0**-34), [1.0, 2.0, 4.0]))
+    q = np.concatenate(([0.5], np.full(n, 2.0**-20),
+                        [0.5 + 2.0**-38, 0.125, 0.125]))
+    scale = float(np.abs(t) @ q)
+    s_tol = 1e-12 * max(1.0, scale)
+    exact = np.cumsum((t * q * 2.0**54).astype(np.int64))
+    assert np.cumsum(t * q)[-3] > s_tol and exact[-3] < 0
+    decided = validity._decided_steps(t, q, scale, s_tol)
+    assert decided >= 1
+    # each decided step's prefix, exactly summed, is nonnegative
+    assert exact[len(t) - 1 - decided:len(t) - 1].min() >= 0
+
+
+@pytest.mark.parametrize("over", ["warn", "ignore"])
+@pytest.mark.parametrize("top", [1.7e306, 1.7e308])
+@pytest.mark.parametrize("mu0", [-1.5e306, 0.0, 1e306, 1.5e306, 1e307])
+def test_fixed_tau_lp_near_the_overflow_threshold(over, top, mu0):
+    # at 1e306 steps are skipped; at 1e308 |t| @ q is above the scale
+    # gate, or t = tau - mu0 overflows: a warning both solvers raise alike
+    # or, with overflow ignored as the CLI runs, an infinite t on which
+    # the skip must raise no warning of its own
+    d = cell_table(("a", "b", "c", "d"), (0.125, 0.375, 0.25, 0.25),
+                   np.ones(4), tau=(-top, -top / 1.7, top / 1.0625, top))
+    with np.errstate(over=over):
+        assert (_outcome(fixed_tau_lp, d, mu0)
+                == _outcome(reference_fixed_tau_lp, d, mu0))
 
 
 class TestFixedTauBruteforce:
