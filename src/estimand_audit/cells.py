@@ -177,8 +177,7 @@ class CellTable:
     @property
     def mean_a_given_w0(self):
         """E[a(X) | W0 = 1]."""
-        m = self.w0_mass
-        return float((self.a * m).sum() / m.sum())
+        return _mean(self.a, self.w0_mass)
 
     def with_a(self, a):
         return CellTable(self.labels, self.p, a, self.w0, self.tau, self.x)
@@ -286,11 +285,16 @@ def clip_share(p):
     return min(max(float(p), 0.0), 1.0)
 
 
+def _mean(x, m):
+    """The m-weighted mean of x.  numpy's own sums, not a BLAS dot, so
+    that its bits do not depend on the BLAS thread count."""
+    return float((x * m).sum() / m.sum())
+
+
 def _weight_scale(design):
     """The mean |a| on the base subpopulation.  The weight tolerances are
     relative to it, so that rescaling a never changes a verdict."""
-    m = design.w0_mass
-    return float((np.abs(design.a) * m).sum() / m.sum())
+    return _mean(np.abs(design.a), design.w0_mass)
 
 
 def _degenerate_tol(design):
@@ -328,12 +332,10 @@ def mu(design):
     Invariant to rescaling a by any nonzero constant.  Cells with w0 = 0
     contribute nothing and may omit tau.
     """
-    m = design.w0_mass
-    den = float((design.a * m).sum())
-    if abs(den) <= _degenerate_tol(design) * m.sum():
+    am = design.a * design.w0_mass
+    if abs(am.sum()) <= _degenerate_tol(design) * design.pop_w0:
         raise DegenerateWeights("E[a|W0=1] = 0; the estimand is undefined")
-    tau = _tau_checked(design, design.a * m != 0)
-    return float((design.a * m * tau).sum() / den)
+    return _mean(_tau_checked(design, am != 0), am)
 
 
 def discrete_weights(design):
@@ -358,10 +360,9 @@ def subpop_profile(design, rule, g):
         raise DimensionMismatch("inclusion length does not match the design")
     g = _as_float_array(g, "g", design.k)
     mass = inc * design.w0_mass
-    total = float(mass.sum())
-    if total <= 0:
+    if mass.sum() <= 0:
         raise EmptySubpopulation("the rule selects a zero-mass subpopulation")
-    return float((g * mass).sum() / total)
+    return _mean(g, mass)
 
 
 def realize_subpop(design, rule, n):
@@ -385,18 +386,28 @@ def realize_subpop(design, rule, n):
     return out
 
 
+def _conditional_tau(design, *, context="the fixed-CATE audit"):
+    """CATE values and masses conditional on W0=1, validating presence,
+    and the mask of the base-subpopulation cells they come from."""
+    sub = design.w0_mass > 0
+    if design.tau is None or np.any(np.isnan(design.tau[sub])):
+        raise MissingTau(f"tau is required on every base-subpopulation cell "
+                         f"for {context}")
+    q = design.w0_mass[sub]
+    return design.tau[sub], q / q.sum(), sub
+
+
 def moment_summary(design):
-    """Collect mu, E[a|W0=1], P(W0=1) and E0 = E[tau|W0=1]; mu and e0 are
-    None when the needed tau values are absent."""
-    m = design.w0_mass
+    """Collect mu, E[a|W0=1], P(W0=1) and E0 = E[tau|W0=1], the mean the
+    fixed-tau audit reports; mu and e0 are None without the tau they need."""
     try:
         value = mu(design)
     except (MissingTau, DegenerateWeights):
         value = None
-    e0 = None
-    if design.tau is not None and not np.any(np.isnan(design.tau) & (m > 0)):
-        e0 = float((m * np.where(np.isnan(design.tau), 0.0, design.tau)).sum()
-                   / m.sum())
+    try:
+        e0 = _mean(*_conditional_tau(design)[:2])
+    except MissingTau:
+        e0 = None
     return MomentSummary(mu=value, mean_a_given_w0=design.mean_a_given_w0,
                          pop_w0=design.pop_w0, e0=e0)
 

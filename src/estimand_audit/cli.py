@@ -30,8 +30,9 @@ from .cells import (CellTable, _BadField, clip_share, moment_summary,
                     normalize_sign, open_atomic, quoted, tau_col, write_csv)
 from .data_io import DgpSpec, load_micro, load_panel, panel_to_group_distribution, simulate
 from .designs import ESTIMAND_FAMILIES, GroupDistribution, IvCellTable, PropensityTable
-from .errors import (AuditError, InfeasibleProgram, InvalidDesign, InvalidSpec,
-                     MissingTau, NonFiniteResult, ParseError)
+from .errors import (AuditError, InfeasibleProgram, InstanceTooLarge,
+                     InvalidDesign, InvalidSpec, MissingTau, NonFiniteResult,
+                     ParseError)
 from .inference import (
     ESTIMABLE,
     BootstrapConfig,
@@ -196,9 +197,9 @@ def _fixed_tau_payload(design, mu0, warnings):
     except InfeasibleProgram:
         solvers["mass_reduction"] = 0.0
         warnings.append("mu0 lies outside the range of the supplied tau values")
-    if design.k <= BRUTE_FORCE_LIMIT:
+    try:
         solvers["brute_force"] = fixed_tau_bruteforce(design, mu0)
-    else:
+    except InstanceTooLarge:
         solvers["brute_force"] = None
         warnings.append(
             "brute-force cross-check skipped: design has more than %d cells"
@@ -214,7 +215,7 @@ def _fixed_tau_payload(design, mu0, warnings):
         "trim": trim.to_json_dict(),
         "solvers": solvers,
         "agreement": agreement,
-    }, report, trim
+    }, (report, trim)
 
 
 def _ate_bounds(args, mu_value, uniform):
@@ -277,9 +278,7 @@ def cmd_audit(args, parser):
     fixed = None
     if design.tau is not None:
         mu0 = args.mu0 if args.mu0 is not None else summary.mu
-        ft_payload, report, trim = _fixed_tau_payload(design, mu0, warnings)
-        payload["fixed_tau"] = ft_payload
-        fixed = (report, trim)
+        payload["fixed_tau"], fixed = _fixed_tau_payload(design, mu0, warnings)
     elif args.mu0 is not None:
         raise MissingTau("--mu0 is only meaningful for designs with tau values")
     lines = _audit_table(family, design, summary, uniform, fixed)

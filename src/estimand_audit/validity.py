@@ -20,6 +20,7 @@ change, so it keeps the bits of its step-by-step loop.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,9 @@ from .cells import (
     CellTable,
     SubpopulationRule,
     _as_float_array,
+    _conditional_tau,
     _masses,
+    _mean,
     _store,
     _weight_scale,
     mu,
@@ -40,8 +43,8 @@ from .errors import (
     InstanceTooLarge,
     InvalidDesign,
     MissingNumericLabels,
-    MissingTau,
     NegativeBound,
+    NonFiniteResult,
 )
 
 __all__ = [
@@ -160,19 +163,7 @@ def adversarial_sign_check(design):
     the estimand maps to a negative number.
     """
     design = normalize_sign(design)
-    witness = (design.a < 0).astype(float)
-    m = design.w0_mass
-    return float((design.a * witness * m).sum() / (design.a * m).sum())
-
-
-def _conditional_tau(design, *, context="the fixed-CATE audit"):
-    """CATE values and masses conditional on W0=1, validating presence."""
-    sub = design.w0_mass > 0
-    if design.tau is None or np.any(np.isnan(design.tau[sub])):
-        raise MissingTau(f"tau is required on every base-subpopulation cell "
-                         f"for {context}")
-    q = design.w0_mass[sub]
-    return design.tau[sub], q / q.sum(), sub
+    return _mean((design.a < 0).astype(float), design.a * design.w0_mass)
 
 
 def _hull_tol(values, mu0):
@@ -258,8 +249,7 @@ def uniform_internal_validity(design):
     if not check_uniform_existence(design):
         return ValidityReport(False, 0.0, 0.0, a_max, None)
     a = np.clip(design.a, 0.0, None)
-    p_internal = float((a[sub] * design.w0_mass[sub]).sum()
-                       / design.w0_mass[sub].sum() / a_max)
+    p_internal = _mean(a[sub], design.w0_mass[sub]) / a_max
     inclusion = np.clip(a / a_max, 0.0, 1.0)
     inclusion[~sub] = 0.0
     return ValidityReport(
@@ -292,6 +282,33 @@ def _trim_ascending(t, q):
     return alpha, kept, atom_fraction, inclusion
 
 
+_Program = namedtuple("_Program", "values q sub mu0 t scale tol")
+
+
+def _program(source, mu0, context="the size program"):
+    """The given-tau program that the three solvers share, of a
+    :class:`CellTable` (mu0 defaults to its estimand) or a
+    :class:`TauSample` (mu0 is required): the effects on the base
+    subpopulation (`values`) with their conditional masses `q`, the mask
+    of the cells they sit in (`sub`), the centred effects t = values -
+    mu0, `scale` = |t| @ q and the balance tolerance `tol`."""
+    if isinstance(source, TauSample):
+        if mu0 is None:
+            raise InvalidDesign("mu0 is required with a sample input")
+        values, q = source.values, source.masses
+        sub = np.ones(len(values), dtype=bool)
+    elif isinstance(source, CellTable):
+        values, q, sub = _conditional_tau(source, context=context)
+        if mu0 is None:
+            mu0 = mu(source)
+    else:
+        raise TypeError("expected a CellTable or a TauSample")
+    mu0 = float(mu0)
+    t = values - mu0
+    scale = float(np.abs(t) @ q)
+    return _Program(values, q, sub, mu0, t, scale, 1e-12 * max(1.0, scale))
+
+
 def fixed_tau_internal_validity(design_or_sample, mu0=None):
     """Sharp size of the largest subpopulation matching the estimand for
     the *given* CATE function.
@@ -300,65 +317,39 @@ def fixed_tau_internal_validity(design_or_sample, mu0=None):
     design's estimand) or a :class:`TauSample` with an explicit mu0.  The
     maximizer keeps the base subpopulation intact except for one tail of
     tau - mu0, cut at a threshold atom that may be kept fractionally.
+    A tau - mu0 that overflows where a tail is cut is a
+    :class:`NonFiniteResult`.
 
     Returns a (:class:`ValidityReport`, :class:`TrimSolution`) pair.
     """
-    if isinstance(design_or_sample, TauSample):
-        sample = design_or_sample
-        if mu0 is None:
-            raise InvalidDesign("mu0 is required with a sample input")
-        values, q, pop_w0 = sample.values, sample.masses, sample.pop_w0
-        sub = None
-        k_cells = len(values)
-    elif isinstance(design_or_sample, CellTable):
-        design = design_or_sample
-        values, q, sub = _conditional_tau(design)
-        if mu0 is None:
-            mu0 = mu(design)
-        pop_w0 = design.pop_w0
-        k_cells = design.k
-    else:
-        raise TypeError("expected a CellTable or a TauSample")
-
-    mu0 = float(mu0)
-    e0 = float(values @ q)
-
-    def package(p_internal, inclusion_values, trim):
-        inclusion = None
-        if inclusion_values is not None:
-            if sub is None:
-                full = inclusion_values
-            else:
-                full = np.zeros(k_cells)
-                full[sub] = inclusion_values
-            inclusion = SubpopulationRule(full)
-        report = ValidityReport(
-            exists=inclusion_values is not None,
-            p_internal=p_internal,
-            p_representative=p_internal * pop_w0,
-            a_max=math.nan,
-            inclusion=inclusion,
-        )
-        return report, trim
-
+    prog = _program(design_or_sample, mu0, context="the fixed-CATE audit")
+    values, mu0, t = prog.values, prog.mu0, prog.t
+    e0 = _mean(values, prog.q)
+    inclusion = None
     if not _in_hull(values, mu0):
-        direction = "above" if mu0 < e0 else "below"
-        return package(
-            0.0, None,
-            TrimSolution(direction, math.nan, 0.0, 0.0, e0),
-        )
-    if abs(mu0 - e0) <= 1e-12 * max(1.0, abs(e0), abs(mu0)):
-        return package(
-            1.0, np.ones_like(values),
-            TrimSolution("none", math.nan, 1.0, 1.0, e0),
-        )
-    if mu0 < e0:
-        alpha, kept, frac, inclusion = _trim_ascending(values - mu0, q)
+        kept = 0.0
+        trim = TrimSolution("above" if mu0 < e0 else "below", math.nan,
+                            0.0, 0.0, e0)
+    elif abs(mu0 - e0) <= 1e-12 * max(1.0, abs(e0), abs(mu0)):
+        kept, inclusion = 1.0, np.ones_like(values)
+        trim = TrimSolution("none", math.nan, 1.0, 1.0, e0)
+    elif not np.isfinite(t).all():
+        raise NonFiniteResult(f"tau - mu0 overflows at mu0={mu0!r}")
+    elif mu0 < e0:
+        alpha, kept, frac, inclusion = _trim_ascending(t, prog.q)
         trim = TrimSolution("above", alpha, kept, frac, e0)
     else:
-        alpha, kept, frac, inclusion = _trim_ascending(mu0 - values, q)
+        alpha, kept, frac, inclusion = _trim_ascending(-t, prog.q)
         trim = TrimSolution("below", -alpha, kept, frac, e0)
-    return package(kept, inclusion, trim)
+    rule = None
+    if inclusion is not None:
+        full = np.zeros(len(prog.sub))
+        full[prog.sub] = inclusion
+        rule = SubpopulationRule(full)
+    report = ValidityReport(exists=rule is not None, p_internal=kept,
+                            p_representative=kept * design_or_sample.pop_w0,
+                            a_max=math.nan, inclusion=rule)
+    return report, trim
 
 
 def _decided_steps(t, q, scale, s_tol):
@@ -390,21 +381,18 @@ def fixed_tau_lp(design, mu0):
     and a cell that leaves it is never picked again.  A step costs O(K),
     but the leading ones that zero their cell whatever the rounding
     (`_decided_steps`) are taken at once: O(K log K), the same bits."""
-    values, q, _ = _conditional_tau(design, context="the size program")
-    mu0 = float(mu0)
+    prog = _program(design, mu0)
+    values, mu0, s_tol = prog.values, prog.mu0, prog.tol
     if not _in_hull(values, mu0):
         raise InfeasibleProgram(
             f"mu0={mu0!r} lies outside the CATE range "
             f"[{values.min()!r}, {values.max()!r}]"
         )
     order = np.argsort(values, kind="stable")
-    t = values[order] - mu0
-    q = q[order]
+    t, q = prog.t[order], prog.q[order]
     f = q.copy()
-    scale = float(np.abs(t) @ q)
-    s_tol = 1e-12 * max(1.0, scale)
-    top = _decided_steps(t, q, scale, s_tol)
-    bottom = _decided_steps(-t[::-1], q[::-1], scale, s_tol)
+    top = _decided_steps(t, q, prog.scale, s_tol)
+    bottom = _decided_steps(-t[::-1], q[::-1], prog.scale, s_tol)
     f[len(t) - top:] = 0.0
     f[:bottom] = 0.0
     lo, hi = bottom, len(t) - 1 - top
@@ -432,16 +420,16 @@ def fixed_tau_bruteforce(design, mu0):
 
     A vertex of the feasible set has at most one coordinate strictly
     between its bounds, so every {0, q_k} pattern is tried with every
-    candidate interior coordinate.  An oracle for K <= BRUTE_FORCE_LIMIT.
+    candidate interior coordinate.  An oracle for up to BRUTE_FORCE_LIMIT
+    base-subpopulation cells; more raise :class:`InstanceTooLarge`.
     """
-    values, q, _ = _conditional_tau(design, context="the size program")
-    k = len(values)
+    prog = _program(design, mu0)
+    t, q, tol = prog.t, prog.q, prog.tol
+    k = len(t)
     if k > BRUTE_FORCE_LIMIT:
         raise InstanceTooLarge(
             "brute-force enumeration is capped at %d cells" % BRUTE_FORCE_LIMIT
         )
-    t = values - float(mu0)
-    tol = 1e-12 * max(1.0, float(np.abs(t) @ q))
     masks = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
     base = masks @ (t * q)
     mass = masks @ q

@@ -16,11 +16,15 @@ human-readable lines of `audit` with bounds, `bounds` and `bootstrap`.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import estimand_audit
 from estimand_audit import cli
 
 PANEL = Path(__file__).parent / "data" / "staggered_panel.csv"
@@ -35,7 +39,7 @@ REPORT_SHA256 = {
     "panel_twfe_h":
         "0552a229f461c139e68d4ac28d05e3fd1e5ad7966f04bc71f2436ceec9fdeea6",
     "design":
-        "4c204f671ceb0efdcd9d66bee40669b43c568a4124b3d96aaa2c32bc9049ac43",
+        "bb16b53fe17420e4a22c190059f97a7ca1032105a92ba922558884a441562ee8",
 }
 
 
@@ -94,6 +98,25 @@ def test_design_report_bytes(tmp_path):
     sha = report_sha256(tmp_path, "audit", "--design", path, "--mu0", mu0,
                         "--b-lo", b_lo, "--b-hi", b_hi)
     assert sha == REPORT_SHA256["design"]
+
+
+def test_design_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a BLAS with two threads splits a long dot product into per-thread
+    # partial sums, so every reported reduction must avoid one
+    path, mu0, b_lo, b_hi = design_csv(tmp_path, k=20000)
+    package_root = os.path.dirname(os.path.dirname(estimand_audit.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("report%s.json" % threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [package_root, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "estimand_audit", "audit",
+                        "--design", str(path), "--mu0", repr(mu0),
+                        "--b-lo", repr(b_lo), "--b-hi", repr(b_hi),
+                        "--json", str(out), "--quiet"], env=env, check=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def full_design_csv(tmp_path, k=40, seed=7):

@@ -227,6 +227,28 @@ class TestAuditFixedTau:
         assert ft["report"]["p_internal"] == pytest.approx(4 / 15, abs=1e-10)
         assert ft["trim"]["alpha"] == pytest.approx(1.5, abs=1e-12)
 
+    @pytest.mark.parametrize("base_cells", [12, 13])
+    def test_brute_force_runs_up_to_its_cap_of_base_cells(self, tmp_path,
+                                                          base_cells):
+        # 13 cells; with one off the base subpopulation the enumeration
+        # has 12 cells and runs, with none it is skipped with a warning
+        w0 = [1.0] * base_cells + [0.0] * (13 - base_cells)
+        rows = zip(range(13), [1 / 16] * 12 + [0.25], w0, [0] * 9 + [1] * 4)
+        src = tmp_path / "d.csv"
+        src.write_text("label,p,a,w0,tau\n" + "".join(
+            "c%d,%r,1,%r,%d\n" % row for row in rows))
+        out = tmp_path / "r.json"
+        assert run("audit", "--design", src, "--mu0", 0,
+                   "--json", out, "--quiet") == 0
+        payload = json.loads(out.read_text())
+        brute = payload["fixed_tau"]["solvers"]["brute_force"]
+        warnings = payload["diagnostics"]["warnings"]
+        if base_cells == 12:
+            assert brute == 0.75 and warnings == []
+        else:
+            assert brute is None and warnings == [
+                "brute-force cross-check skipped: design has more than 12 cells"]
+
     def test_mu0_without_tau_is_a_domain_error(self, tmp_path, capsys):
         src = tmp_path / "bench.csv"
         src.write_text(BENCH_CSV)
@@ -637,6 +659,20 @@ class TestNonFiniteDesignValues:
         src.write_text(BENCH_CSV)
         assert exits_with_error(capsys, "audit", "--design", src,
                                 "--tau", "1.0,%s" % tau)
+
+    def test_overflowing_tau_minus_mu0_is_one_error_line(self, tmp_path,
+                                                         capsys):
+        # mu0 lies inside tau's range, but tau - mu0 overflows in both tails
+        src = tmp_path / "d.csv"
+        src.write_text("label,p,a,w0,tau\na,0.125,1,1,-1.7e308\n"
+                       "b,0.375,1,1,-1e308\nc,0.25,1,1,1.6e308\n"
+                       "d,0.25,1,1,1.7e308\n")
+        out = tmp_path / "r.json"
+        assert run("audit", "--design", src, "--mu0", "1e307",
+                   "--json", out) == 1
+        assert capsys.readouterr() == (
+            "", "error: tau - mu0 overflows at mu0=1e+307\n")
+        assert not out.exists()
 
     def test_nan_propensity_rejected(self, tmp_path, capsys):
         src = tmp_path / "p.csv"

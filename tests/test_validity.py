@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from estimand_audit import validity
-from estimand_audit.cells import SubpopulationRule, cell_table, discrete_weights, mu
+from estimand_audit.cells import (SubpopulationRule, cell_table, discrete_weights,
+                                  moment_summary, mu)
 from estimand_audit.designs import (
     GroupDistribution,
     IvCellTable,
@@ -500,6 +501,47 @@ def test_fixed_tau_lp_equals_the_rescanning_reference(program):
     design, mu0 = program
     assert (_outcome(fixed_tau_lp, design, mu0)
             == _outcome(reference_fixed_tau_lp, design, mu0))
+
+
+@st.composite
+def base_subpopulation_programs(draw):
+    """Designs of up to 200 cells with w0 at 0, at 1 or in between, tau
+    on an integer grid or not, and mu0 unset (the design's estimand), a
+    tau value or anywhere in tau's range on the base subpopulation."""
+    k = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.uniform(0.01, 1.0, k)
+    w0 = rng.uniform(0.0, 1.0, k)
+    w0[rng.random(k) < 0.3] = 0.0
+    w0[rng.random(k) < 0.3] = 1.0
+    w0[int(rng.integers(k))] = 1.0
+    tau = (rng.integers(-3, 4, k).astype(float) if draw(st.booleans())
+           else rng.normal(0.0, 2.0, k))
+    design = cell_table(tuple(map(str, range(k))), p / p.sum(),
+                        rng.uniform(0.05, 1.0, k), w0=w0, tau=tau)
+    lo, hi = _tau_range(design)
+    mu0 = draw(st.none() | st.sampled_from(tau.tolist())
+               | st.floats(0.0, 1.0).map(lambda u: lo + u * (hi - lo)))
+    return design, mu0
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=base_subpopulation_programs())
+def test_e0_is_one_mean_and_a_sample_audits_like_its_design(program):
+    design, mu0 = program
+    report, trim = fixed_tau_internal_validity(design, mu0)
+    assert trim.e0.hex() == moment_summary(design).e0.hex()
+    values, q, sub = validity._conditional_tau(design)
+    sample = TauSample(values, q, pop_w0=design.pop_w0)
+    s_report, s_trim = fixed_tau_internal_validity(
+        sample, mu(design) if mu0 is None else mu0)
+    assert s_trim.to_json_dict() == trim.to_json_dict()
+    assert (s_report.exists, s_report.p_internal, s_report.p_representative) \
+        == (report.exists, report.p_internal, report.p_representative)
+    if report.inclusion is not None:
+        full = report.inclusion.inclusion
+        assert np.array_equal(full[sub], s_report.inclusion.inclusion)
+        assert not full[~sub].any()
 
 
 def perfbench_like_design(k=20000, seed=20):
