@@ -21,7 +21,7 @@ import itertools
 import math
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,10 +180,10 @@ class CellTable:
         return _mean(self.a, self.w0_mass)
 
     def with_a(self, a):
-        return CellTable(self.labels, self.p, a, self.w0, self.tau, self.x)
+        return replace(self, a=a)
 
     def with_tau(self, tau):
-        return CellTable(self.labels, self.p, self.a, self.w0, tau, self.x)
+        return replace(self, tau=tau)
 
     # -- serialization --------------------------------------------------
 

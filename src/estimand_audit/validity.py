@@ -166,14 +166,17 @@ def adversarial_sign_check(design):
     return _mean((design.a < 0).astype(float), design.a * design.w0_mass)
 
 
-def _hull_tol(values, mu0):
-    return 1e-12 * max(1.0, float(np.max(np.abs(values))), abs(mu0))
+def _balance_tol(values, q, mu0):
+    """The tie and balance tolerance: 1e-12 of E|tau| + |mu0|, the size of
+    the program's sums, so it covers the rounding of tau - mu0 over the
+    cells and ignores an outlier that carries no mass.  No BLAS dot."""
+    return 1e-12 * _mean(np.abs(values), q) + 1e-12 * abs(mu0)
 
 
 def _in_hull(values, mu0):
-    """Whether mu0 lies in the range of `values`, up to `_hull_tol`.  A mu0
-    that is not finite never does (its tolerance would be infinite)."""
-    tol = _hull_tol(values, mu0)
+    """Whether mu0 lies in the range of `values`, up to 1e-12 of the largest
+    |tau| or |mu0|.  A mu0 that is not finite never does."""
+    tol = 1e-12 * max(float(np.max(np.abs(values))), abs(mu0))
     return math.isfinite(mu0) and values.min() - tol <= mu0 <= values.max() + tol
 
 
@@ -181,10 +184,7 @@ def check_fixed_existence(design, mu0=None):
     """True iff the estimand value lies in the convex hull of the CATE
     values on the base subpopulation (a representation exists for this
     particular tau)."""
-    values, _, _ = _conditional_tau(design, context="the existence check")
-    if mu0 is None:
-        mu0 = mu(design)
-    return bool(_in_hull(values, mu0))
+    return _program(design, mu0, context="the existence check").inside
 
 
 def check_linear_cate_existence(design):
@@ -282,7 +282,7 @@ def _trim_ascending(t, q):
     return alpha, kept, atom_fraction, inclusion
 
 
-_Program = namedtuple("_Program", "values q sub mu0 t scale tol")
+_Program = namedtuple("_Program", "values q sub mu0 t scale tol inside")
 
 
 def _program(source, mu0, context="the size program"):
@@ -291,7 +291,7 @@ def _program(source, mu0, context="the size program"):
     :class:`TauSample` (mu0 is required): the effects on the base
     subpopulation (`values`) with their conditional masses `q`, the mask
     of the cells they sit in (`sub`), the centred effects t = values -
-    mu0, `scale` = |t| @ q and the balance tolerance `tol`."""
+    mu0, `scale` = |t| @ q, the balance tolerance and the hull test."""
     if isinstance(source, TauSample):
         if mu0 is None:
             raise InvalidDesign("mu0 is required with a sample input")
@@ -305,8 +305,8 @@ def _program(source, mu0, context="the size program"):
         raise TypeError("expected a CellTable or a TauSample")
     mu0 = float(mu0)
     t = values - mu0
-    scale = float(np.abs(t) @ q)
-    return _Program(values, q, sub, mu0, t, scale, 1e-12 * max(1.0, scale))
+    return _Program(values, q, sub, mu0, t, float(np.abs(t) @ q),
+                    _balance_tol(values, q, mu0), bool(_in_hull(values, mu0)))
 
 
 def fixed_tau_internal_validity(design_or_sample, mu0=None):
@@ -326,11 +326,11 @@ def fixed_tau_internal_validity(design_or_sample, mu0=None):
     values, mu0, t = prog.values, prog.mu0, prog.t
     e0 = _mean(values, prog.q)
     inclusion = None
-    if not _in_hull(values, mu0):
+    if not prog.inside:
         kept = 0.0
         trim = TrimSolution("above" if mu0 < e0 else "below", math.nan,
                             0.0, 0.0, e0)
-    elif abs(mu0 - e0) <= 1e-12 * max(1.0, abs(e0), abs(mu0)):
+    elif abs(mu0 - e0) <= prog.tol:  # the balance test at f = q
         kept, inclusion = 1.0, np.ones_like(values)
         trim = TrimSolution("none", math.nan, 1.0, 1.0, e0)
     elif not np.isfinite(t).all():
@@ -383,7 +383,7 @@ def fixed_tau_lp(design, mu0):
     (`_decided_steps`) are taken at once: O(K log K), the same bits."""
     prog = _program(design, mu0)
     values, mu0, s_tol = prog.values, prog.mu0, prog.tol
-    if not _in_hull(values, mu0):
+    if not prog.inside:
         raise InfeasibleProgram(
             f"mu0={mu0!r} lies outside the CATE range "
             f"[{values.min()!r}, {values.max()!r}]"
@@ -440,8 +440,8 @@ def fixed_tau_bruteforce(design, mu0):
             continue  # free coordinate: full mass, covered by the masks
         rows = masks[:, i] == 0
         f_i = -base[rows] / t[i]
-        feasible = (f_i >= -tol) & (f_i <= q[i] + tol)
+        kept = np.clip(f_i, 0.0, q[i])
+        feasible = np.abs(t[i] * (kept - f_i)) <= tol  # the clip's imbalance
         if feasible.any():
-            cand = mass[rows][feasible] + np.clip(f_i[feasible], 0.0, q[i])
-            best = max(best, float(cand.max()))
+            best = max(best, float((mass[rows] + kept)[feasible].max()))
     return best

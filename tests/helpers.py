@@ -155,12 +155,13 @@ def reference_twfe_h_design(gd):
 def reference_fixed_tau_lp(design, mu0):
     """Mass reduction that rescans every cell for the ones at capacity."""
     from estimand_audit.errors import AuditError, InfeasibleProgram
-    from estimand_audit.validity import _conditional_tau, _hull_tol
+    from estimand_audit.validity import (_balance_tol, _conditional_tau,
+                                         _in_hull)
 
     values, q, _ = _conditional_tau(design, context="the size program")
     mu0 = float(mu0)
-    tol = _hull_tol(values, mu0)
-    if not values.min() - tol <= mu0 <= values.max() + tol:
+    tol = _balance_tol(values, q, mu0)
+    if not _in_hull(values, mu0):
         raise InfeasibleProgram(
             f"mu0={mu0!r} lies outside the CATE range "
             f"[{values.min()!r}, {values.max()!r}]"
@@ -169,10 +170,9 @@ def reference_fixed_tau_lp(design, mu0):
     t = values[order] - mu0
     q = q[order]
     f = q.copy()
-    s_tol = 1e-12 * max(1.0, float(np.abs(t) @ q))
     for _ in range(len(t) + 2):
         s = float(t @ f)
-        if abs(s) <= s_tol:
+        if abs(s) <= tol:
             return float(f.sum())
         full = np.flatnonzero(f == q)
         if s > 0:

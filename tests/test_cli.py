@@ -249,6 +249,44 @@ class TestAuditFixedTau:
             assert brute is None and warnings == [
                 "brute-force cross-check skipped: design has more than 12 cells"]
 
+    def test_effects_near_2_to_the_46_keep_the_solvers_in_agreement(
+            self, tmp_path):
+        # the balance tolerance is on tau's scale, above 100 here, so it
+        # must not bound brute force's interior coordinate, a mass: that
+        # lets in a mass of 1.94 > q = 0.1 and a share above one
+        rows = zip("abcdef", (0.1, 0.2, 0.2, 0.2, 0.2, 0.1),
+                   (1, -2, 1, -2, 1, -1))
+        src = tmp_path / "big.csv"
+        src.write_text("label,p,a,w0,tau\n" + "".join(
+            "%s,%r,1,1,%d\n" % (label, p, sign * 2**46)
+            for label, p, sign in rows))
+        out = tmp_path / "r.json"
+        assert run("audit", "--design", src, "--mu0", "35672259318538.8",
+                   "--json", out, "--quiet") == 0
+        payload = json.loads(out.read_text())
+        ft = payload["fixed_tau"]
+        assert ft["agreement"] is True
+        assert payload["diagnostics"]["warnings"] == []
+        assert max(ft["solvers"].values()) <= 1.0
+
+    def test_tiny_scale_effects_audit_like_their_scale_one_copy(self, tmp_path):
+        # every tolerance scales with (tau, mu0), so mu0 = 1.1 * 2**-43 is
+        # no tie with E0 = 1.5 * 2**-43 and one tail is trimmed
+        fixed = []
+        for scale in (2.0**-43, 1.0):
+            src = tmp_path / f"{scale!r}.csv"
+            src.write_text("label,p,a,w0,tau\na,0.5,1,1,%r\nb,0.5,1,1,%r\n"
+                           % (scale, 2 * scale))
+            out = tmp_path / f"{scale!r}.json"
+            assert run("audit", "--design", src, "--mu0", repr(1.1 * scale),
+                       "--json", out, "--quiet") == 0
+            fixed.append(json.loads(out.read_text())["fixed_tau"])
+        tiny, unit = fixed
+        assert tiny["solvers"] == unit["solvers"]
+        assert tiny["report"] == unit["report"]
+        assert tiny["trim"]["direction"] == unit["trim"]["direction"] == "above"
+        assert tiny["trim"]["alpha"] == unit["trim"]["alpha"] * 2.0**-43
+
     def test_mu0_without_tau_is_a_domain_error(self, tmp_path, capsys):
         src = tmp_path / "bench.csv"
         src.write_text(BENCH_CSV)

@@ -254,6 +254,14 @@ class TestDgpSpec:
         rep = uniform_internal_validity(spec.true_design("twfe_h"))
         assert rep.p_internal == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("estimand", ["twfe_cdh", "twfe_h"])
+    def test_staggered_true_design_keeps_its_panel_metadata(self, estimand):
+        spec = staggered_spec()
+        design = spec.true_design(estimand)
+        built = ESTIMAND_FAMILIES[estimand].build(spec.group_distribution())
+        assert type(design) is type(built)
+        assert (design.groups, design.times) == (built.groups, built.times)
+
 
 class TestSpecValidatedByItsTable:
     """A spec is valid exactly when the table it implies is: adoption

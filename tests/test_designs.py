@@ -21,6 +21,7 @@ from estimand_audit.cells import mu
 from estimand_audit.designs import (
     GroupDistribution,
     IvCellTable,
+    PanelCellTable,
     PropensityTable,
     iv_design,
     ols_ate_design,
@@ -261,6 +262,15 @@ class TestTwfeH:
         by_label = dict(zip(d.labels, d.w0))
         assert by_label["g=2"] == pytest.approx(3 / 4, abs=0)
         assert by_label["g=4"] == pytest.approx(1 / 4, abs=0)
+
+
+@pytest.mark.parametrize("build", [twfe_cdh_design, twfe_h_design],
+                         ids=["cdh", "h"])
+def test_with_a_and_with_tau_keep_the_panel_metadata(build):
+    d = build(GroupDistribution(3, {2: 1 / 6, 3: 2 / 3, math.inf: 1 / 6}))
+    for changed in (d.with_a(2.0 * d.a), d.with_tau(np.arange(d.k, 0.0, -1))):
+        assert type(changed) is PanelCellTable
+        assert (changed.groups, changed.times) == (d.groups, d.times)
 
 
 class TestGbCrossCheck:

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from estimand_audit import validity
-from estimand_audit.cells import (SubpopulationRule, cell_table, discrete_weights,
-                                  moment_summary, mu)
+from estimand_audit.bounds import SupportBounds, ate_bounds_from_validity
+from estimand_audit.cells import (CellTable, SubpopulationRule, cell_table,
+                                  discrete_weights, moment_summary, mu)
 from estimand_audit.designs import (
     GroupDistribution,
     IvCellTable,
@@ -702,3 +703,129 @@ def test_shares_invariant_to_weight_scale(seed, power, random_w0):
                              for t in (d, scaled))
     assert scaled_report.pop("a_max") == report.pop("a_max") * 2.0**power
     assert scaled_report == report
+
+
+@st.composite
+def small_programs(draw):
+    """`random_design`s of up to 8 cells, so brute force runs on each, with
+    weights of either sign, a quarter of w0 at zero, tau tied on an integer
+    grid or not, and mu0 unset (the design's estimand), at a random
+    quantile of tau on the base subpopulation or at one of its values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = random_design(rng, allow_negative_a=draw(st.booleans()), with_tau=True,
+                      random_w0=True, integer_tau=draw(st.booleans()))
+    w0 = np.where(rng.random(d.k) < 0.25, 0.0, d.w0)
+    w0[int(rng.integers(d.k))] = 1.0
+    design = CellTable(d.labels, d.p, d.a, w0, d.tau)
+    values = validity._conditional_tau(design)[0]
+    where = draw(st.sampled_from(["mu", "quantile", "tau"]))
+    if where == "mu":
+        return design, None
+    if where == "quantile":
+        return design, float(np.quantile(values, rng.random()))
+    return design, float(rng.choice(values))
+
+
+def _given_tau_shares(design, mu0):
+    """The closed form's, the mass reduction's and brute force's shares,
+    with the closed form's report and trim; a mu0 outside tau's range
+    gives the mass reduction 0, as in the CLI."""
+    report, trim = fixed_tau_internal_validity(design, mu0)
+    try:
+        lp = fixed_tau_lp(design, mu0)
+    except InfeasibleProgram:
+        lp = 0.0
+    return (report.p_internal, lp, fixed_tau_bruteforce(design, mu0)), report, trim
+
+
+@settings(max_examples=400, deadline=None)
+@given(program=small_programs(), power=st.integers(-60, 59))
+def test_given_tau_shares_invariant_to_effect_scale(program, power):
+    """Rescaling (tau, mu0, b_lo, b_hi) by a power of two is exact, so every
+    solver's share, the direction and the atom fraction keep every bit,
+    and alpha, e0 and the ATE bounds scale exactly."""
+    design, mu0 = program
+    c = 2.0**power
+    values = validity._conditional_tau(design)[0]
+    sb = SupportBounds(values.min() - 1.0, values.max() + 0.5)
+
+    def audit(d, mu0, sb):
+        shares, report, trim = _given_tau_shares(d, mu0)
+        return shares, trim, ate_bounds_from_validity(
+            mu(d), report.p_representative, sb)
+
+    shares, trim, ate = audit(design, mu0, sb)
+    s_shares, s_trim, s_ate = audit(
+        design.with_tau(design.tau * c), None if mu0 is None else mu0 * c,
+        SupportBounds(sb.b_lo * c, sb.b_hi * c))
+    assert s_shares == shares
+    assert (s_trim.direction, s_trim.atom_fraction, s_trim.kept_mass) \
+        == (trim.direction, trim.atom_fraction, trim.kept_mass)
+    assert s_trim.e0 == trim.e0 * c
+    assert (math.isnan(s_trim.alpha) and math.isnan(trim.alpha)) \
+        or s_trim.alpha == trim.alpha * c
+    assert (s_ate.lo, s_ate.hi) == (ate.lo * c, ate.hi * c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), power=st.integers(-60, 59),
+       integer_x=st.booleans())
+def test_linear_cate_verdict_invariant_to_label_scale(seed, power, integer_x):
+    """The hull tolerance scales with the labels and the barycenter."""
+    rng = np.random.default_rng(seed)
+    d = random_design(rng, allow_negative_a=True, random_w0=True)
+    x = (rng.integers(-3, 4, d.k).astype(float) if integer_x
+         else rng.normal(0.0, 2.0, d.k))
+    verdict = check_linear_cate_existence(CellTable(d.labels, d.p, d.a, d.w0,
+                                                    x=x))
+    assert check_linear_cate_existence(
+        CellTable(d.labels, d.p, d.a, d.w0, x=x * 2.0**power)) is verdict
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=small_programs(), data=st.data())
+def test_shares_invariant_to_cell_order_and_to_splitting_a_cell(program, data):
+    """Permuting the cells, or splitting one into two halves of its mass,
+    moves no share, uniform or given tau, by more than 1e-12."""
+    design, mu0 = program
+    mu0 = mu(design) if mu0 is None else mu0
+    k = design.k
+    order = np.array(data.draw(st.permutations(range(k))))
+    i = data.draw(st.integers(0, k - 1))
+    split = np.append(np.arange(k), i)
+    p = design.p[split]
+    p[[i, k]] /= 2.0
+
+    def shares(d):
+        given_tau = _given_tau_shares(d, mu0)[0]
+        return (uniform_internal_validity(d).p_internal,) + given_tau
+
+    expected = shares(design)
+    for other in (
+            CellTable(np.array(design.labels)[order], design.p[order],
+                      design.a[order], design.w0[order], design.tau[order]),
+            CellTable(design.labels + ("split",), p, design.a[split],
+                      design.w0[split], design.tau[split])):
+        assert shares(other) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=small_programs())
+def test_uniform_share_is_at_most_each_given_tau_share(program):
+    """A uniform representation holds for the given tau too, at mu0 = mu."""
+    design, _ = program
+    uniform = uniform_internal_validity(design)
+    if uniform.exists:
+        for share in _given_tau_shares(design, None)[0]:
+            assert uniform.p_internal <= share + 1e-12
+
+
+def test_an_outlier_without_mass_does_not_widen_the_balance_test():
+    """tau = -1e12 on a mass of 1e-13 moves E0 by 0.1 only, so mu0 = -0.5
+    is 0.9 from E0 = 0.4: the balance tolerance follows E|tau| + |mu0|,
+    not the largest |tau|, and the top tail is trimmed to a share of 0.2."""
+    design = CellTable(("a", "b", "c"), np.array([1e-13, 0.5, 0.5 - 1e-13]),
+                       np.ones(3), np.ones(3), np.array([-1e12, 0.0, 1.0]))
+    shares, _, trim = _given_tau_shares(design, -0.5)
+    assert trim.direction == "above"
+    assert shares == pytest.approx((0.2,) * 3, abs=1e-12)
