@@ -477,6 +477,9 @@ def read_csv(path, columns, exact=False):
     return out
 
 
+_BLOCK_CHARS = 1 << 20  # about how much of a CSV body is parsed at a time
+
+
 def _read_plain(path, columns):
     """`read_csv` of a plain file through numpy's C tokenizer, or None.
 
@@ -486,41 +489,62 @@ def _read_plain(path, columns):
     it alone raises: a file is declined on any error, a quote, a NUL
     (which csv rejects before Python 3.11), a lone CR, no data rows
     (loadtxt would warn), a line over the csv field limit or a wrong
-    total field count.  Short and blank rows fail in loadtxt or in the
-    parsers, which reject a blank float, 0/1 or adoption period, and
-    every table has one."""
+    field count in a block.  Short and blank rows fail in loadtxt or in
+    the parsers, which reject a blank float, 0/1 or adoption period, and
+    every table has one.
+
+    The body is parsed in blocks of whole lines, about `_BLOCK_CHARS`
+    long, and each column's blocks are joined at the end; a parsed text
+    column keeps one string per distinct value.  So beyond the text and
+    the columns it returns, memory is bounded by a block.  A parser that
+    checks across rows (`whole_column`) is given the body in one block."""
     try:
         with open(path, newline="") as fh:
             text = fh.read()
         if ('"' in text or "\0" in text
                 or text.count("\r") != text.count("\r\n")):
             return None
-        commas, lines = text.count(","), text.split("\n")
-        del text  # each copy of the text goes once the next exists
-        start = 0
-        while lines[start].lstrip().startswith("#"):
-            start += 1
-        header = [h.strip() for h in lines[start].split(",")]
+        lo = 0
+        while True:  # a file that ends before the header's newline has no rows
+            end = text.index("\n", lo)
+            if not text[lo:end].lstrip().startswith("#"):
+                break
+            lo = end + 1
+        header = [h.strip() for h in text[lo:end].split(",")]
         if callable(columns):
             columns = columns(path, header)
         elif header != list(columns):
             return None
-        commas -= sum(line.count(",") for line in lines[:start + 1])
-        rows = lines[start + 1:]
-        del lines
-        if rows and not rows[-1]:  # after the newline that ends the last row
-            rows.pop()
-        if (not rows or commas != (len(columns) - 1) * len(rows)
-                or max(map(len, rows)) > csv.field_size_limit()):
-            return None
         kinds = [float if getattr(parse, "reads_floats", False) else object
                  for parse in columns.values()]
-        table = np.loadtxt(rows, dtype=list(zip(columns, kinds)),
-                           delimiter=",", comments=None, ndmin=1)
-        del rows
-        return {name: table[name].copy() if kind is float
-                else parse(table[name].tolist(), name)
-                for (name, parse), kind in zip(columns.items(), kinds)}
+        dtype = list(zip(columns, kinds))
+        parts, memos = {name: [] for name in columns}, {name: {} for name in columns}
+        step = (len(text) if any(getattr(parse, "whole_column", False)
+                                 for parse in columns.values()) else _BLOCK_CHARS)
+        lo = end + 1
+        if lo == len(text):
+            return None  # no data rows
+        while lo < len(text):
+            hi = text.find("\n", lo + step) + 1 or len(text)
+            rows = text[lo:hi].split("\n")
+            if not rows[-1]:  # after the newline that ends the block
+                rows.pop()
+            if (text.count(",", lo, hi) != (len(columns) - 1) * len(rows)
+                    or max(map(len, rows)) > csv.field_size_limit()):
+                return None
+            lo = hi
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
+                               ndmin=1)
+            for (name, parse), kind in zip(columns.items(), kinds):
+                column = (table[name].copy() if kind is float
+                          else parse(table[name].tolist(), name))
+                if isinstance(column, list):  # one object per distinct value
+                    parts[name].extend(map(memos[name].setdefault, column, column))
+                else:
+                    parts[name].append(column)
+        del text
+        return {name: np.concatenate(part) if isinstance(part[0], np.ndarray)
+                else part for name, part in parts.items()}
     except Exception:  # whatever this path cannot read, the exact reader reports
         return None
 
@@ -591,18 +615,37 @@ def quoted(labels):
     return list(map(form.__getitem__, labels))
 
 
+_BLOCK_FIELDS = 1 << 15  # fields formatted at a time by `write_csv`
+_BIT_FIELDS = ("0", "1")
+
+
+def _fields(values):
+    """The csv fields of a slice of a `write_csv` column."""
+    if not isinstance(values, np.ndarray):
+        return values
+    if values.dtype.kind == "f":
+        return list(map(repr, values.tolist()))
+    if values.dtype.kind in "iu":
+        return list(map(_BIT_FIELDS.__getitem__, values.tolist()))
+    return quoted(values.tolist())
+
+
 def write_csv(path, columns):
     """Write {header name: column} to a path or text stream, byte for byte
-    as csv.writer would.  A column is a numeric array, written by `repr`,
-    or a list of formatted fields; label columns go through `quoted`.
-    Rows are formatted in blocks so that memory does not grow with n."""
-    cols, step = list(columns.values()), 1 << 16
+    as csv.writer would.  A column is a float array, written by `repr`, a
+    0/1 integer array, a str or object array of labels, which go through
+    `quoted`, or a list of formatted fields.
+
+    Memory is bounded by a block: each slice of about `_BLOCK_FIELDS`
+    fields is formatted from the arrays, written and dropped, so that an
+    array column never has a string per row at once."""
+    cols = list(columns.values())
+    step = max(1, _BLOCK_FIELDS // len(cols))
     with open_atomic(path, newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
         for lo in range(0, len(cols[0]), step):
-            block = [list(map(repr, c[lo:lo + step].tolist()))
-                     if isinstance(c, np.ndarray) else c[lo:lo + step] for c in cols]
-            fh.write("".join(row + "\r\n" for row in map(",".join, zip(*block))))
+            block = [_fields(c[lo:lo + step]) for c in cols]
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 @contextlib.contextmanager

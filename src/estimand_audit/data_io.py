@@ -27,7 +27,6 @@ from .cells import (
     _store,
     binary_col,
     float_col,
-    quoted,
     read_csv,
     rng_stream,
     text_col,
@@ -98,7 +97,7 @@ class MicroSample:
 
     def to_csv(self, path):
         """Write the sample as CSV to a path or a text stream."""
-        write_csv(path, {"x": quoted(self.x.tolist()), **{
+        write_csv(path, {"x": self.x, **{
             name: v for name, v in (("d", self.d), ("z", self.z), ("y", self.y))
             if v is not None}})
 
@@ -161,8 +160,10 @@ class PanelData:
 
     def to_csv(self, path):
         """Write the panel as CSV to a path or a text stream."""
-        g = ["inf" if math.isinf(g) else str(int(g)) for g in self.g.tolist()]
-        write_csv(path, {"unit": quoted(self.units), "g": g, **{
+        periods, at = np.unique(self.g, return_inverse=True)
+        g = np.array(["inf" if math.isinf(v) else str(int(v))
+                      for v in periods.tolist()], dtype=object)[at]
+        write_csv(path, {"unit": np.array(self.units, dtype=object), "g": g, **{
             f"y{t}": col for t, col in enumerate(self.y.T, start=1)}})
 
 

@@ -230,6 +230,9 @@ def _group_col(values, name):
     return groups
 
 
+_group_col.whole_column = True  # the duplicate check reads every row
+
+
 def _g_str(g):
     return "inf" if g is math.inf else str(g)
 

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _MAX_REDRAW_ROUNDS = 50
+_BLOCK_COUNTS = 1 << 16  # replicate cell counts drawn and evaluated at a time
 
 
 @dataclasses.dataclass(frozen=True)
@@ -272,8 +273,11 @@ def estimate_design(sample, family):
     columns = [getattr(sample, arm) for arm in arms]
     if any(c is None for c in columns):
         raise SchemaError("family %r requires an instrument column z" % family)
-    joint = np.zeros((k,) + (2,) * len(arms), dtype=np.int64)
-    np.add.at(joint, (inv, *(np.asarray(c, dtype=np.int64) for c in columns)), 1)
+    cell = inv  # each row's index into the (cell, *arms) counts
+    for c in columns:
+        cell = 2 * cell + c
+    joint = np.bincount(cell, minlength=k * 2 ** len(arms)).reshape(
+        (k,) + (2,) * len(arms))
     # both values of the first arm must occur in every cell
     bad = np.flatnonzero((joint.reshape(k, 2, -1).sum(axis=-1) == 0).any(axis=-1))
     if bad.size:
@@ -416,21 +420,34 @@ def bootstrap_ci(sample, family, cfg):
     fallback = 0
     redraws = 0
     unstable = 0
+    step = max(1, _BLOCK_COUNTS // pvals.size)
     for _ in range(_MAX_REDRAW_ROUNDS):
         m = pending.shape[0]
-        cnt = rng.multinomial(n, pvals, size=m).reshape((m,) + ed.joint.shape)
-        p, a, w0, ok_a, ok_w0 = _theta(cnt, n, family)
-        a = np.where(ok_a, a, d.a)
-        w0 = np.where(ok_w0, w0, d.w0)
-        untrimmed = w0 > c
-        good = untrimmed.any(axis=1)
-        if good.any():
-            z = root_n * (np.stack((a, w0, p), axis=1)[good] - theta0)
-            draws[pending[good]] = psi_apply(lf, z)
-            fallback += int((~ok_a[good]).sum() + (~ok_w0[good]).sum())
-            masked = np.where(untrimmed[good], a[good], -np.inf)
+        # the good replicates' perturbations, filled block by block and
+        # evaluated at once; the multinomial draws rows in order, so the
+        # blocks draw what one call would
+        z = np.empty((m, 3, d.k))
+        good = np.empty(m, dtype=bool)
+        filled = 0
+        for lo in range(0, m, step):
+            size = min(step, m - lo)
+            cnt = rng.multinomial(n, pvals, size=size).reshape(
+                (size,) + ed.joint.shape)
+            p, a, w0, ok_a, ok_w0 = _theta(cnt, n, family)
+            a = np.where(ok_a, a, d.a)
+            w0 = np.where(ok_w0, w0, d.w0)
+            untrimmed = w0 > c
+            ok = untrimmed.any(axis=1)
+            good[lo:lo + size] = ok
+            count = int(ok.sum())
+            z[filled:filled + count] = root_n * (
+                np.stack((a, w0, p), axis=1)[ok] - theta0)
+            filled += count
+            fallback += int((~ok_a[ok]).sum() + (~ok_w0[ok]).sum())
+            masked = np.where(untrimmed[ok], a[ok], -np.inf)
             unstable += int((~in_psi[masked.argmax(axis=1)]).sum())
-        redraws += int((~good).sum())
+        draws[pending[good]] = psi_apply(lf, z[:filled])
+        redraws += m - filled
         pending = pending[~good]
         if pending.shape[0] == 0:
             break

@@ -421,7 +421,8 @@ def fixed_tau_bruteforce(design, mu0):
     A vertex of the feasible set has at most one coordinate strictly
     between its bounds, so every {0, q_k} pattern is tried with every
     candidate interior coordinate.  An oracle for up to BRUTE_FORCE_LIMIT
-    base-subpopulation cells; more raise :class:`InstanceTooLarge`.
+    base-subpopulation cells; more raise :class:`InstanceTooLarge`.  A
+    mu0 outside tau's range gives 0.0, as the closed form does.
     """
     prog = _program(design, mu0)
     t, q, tol = prog.t, prog.q, prog.tol
@@ -430,6 +431,8 @@ def fixed_tau_bruteforce(design, mu0):
         raise InstanceTooLarge(
             "brute-force enumeration is capped at %d cells" % BRUTE_FORCE_LIMIT
         )
+    if not prog.inside:
+        return 0.0
     masks = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
     base = masks @ (t * q)
     mass = masks @ q

@@ -215,6 +215,8 @@ OUTPUT_SHA256 = {
         "stdout":
             "7494bb5c0fb68abad6735582b0d81a678c0d9a1d8f2ab58cabb614b4500315f6"},
     "bootstrap": {
+        "json":
+            "6b0704c94c97789173d033807e6ce0a7a54d7ab3e5dfa98eae62b913c756ed64",
         "stdout":
             "ae441f3e1f8fe13598f49bb3fb7f2547c8293ccfdbdfcc143491dbb07a379910"},
 }

@@ -415,6 +415,72 @@ class TestFastPath:
             with pytest.raises(SchemaError, match="no data rows"):
                 r.read(path)
 
+    # the cases below span several blocks at SMALL_BLOCK characters
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_block_ends_at_every_offset_of_a_row(self, tmp_path, eol):
+        # rows of every length up to a block put each row offset, the
+        # one right after a CRLF among them, where a block is cut
+        r = READERS["micro"]
+        for pad in range(SMALL_BLOCK):
+            rows = [("c%s" % ("x" * pad), "1", "0", "0.5")] * 6
+            path = write(tmp_path, r.text(rows, eol=eol))
+            assert assert_same_as_exact(r, path) is not None
+
+    def test_bad_token_in_the_last_block(self, tmp_path):
+        r = READERS["micro"]
+        rows = list(r.rows) * 10
+        rows[-1] = ("a", "1", "0", "abc")
+        path = write(tmp_path, r.text(rows, comments=1))
+        assert assert_same_as_exact(r, path) is None
+        with pytest.raises(ParseError, match=error_at(32, "y")):
+            r.read(path)
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_last_row_without_a_newline(self, tmp_path, name):
+        r = READERS[name]
+        rows = r.rows if name == "groups" else list(r.rows) * 8
+        path = write(tmp_path, r.text(rows).rstrip("\n"))
+        assert assert_same_as_exact(r, path) is not None
+
+    def test_comment_lines_before_the_header(self, tmp_path):
+        r = READERS["micro"]
+        text = "".join("# a comment longer than a block: %s\n" % ("#" * i)
+                       for i in range(SMALL_BLOCK)) + r.text(list(r.rows) * 8)
+        path = write(tmp_path, text)
+        assert assert_same_as_exact(r, path) is not None
+
+    def test_long_and_short_rows_in_different_blocks(self, tmp_path):
+        # the field counts balance over the file, not within a block
+        r = READERS["micro"]
+        rows = [list(row) for row in r.rows * 8]
+        rows[1].append("7")
+        rows[-2].pop()
+        path = write(tmp_path, r.text(rows))
+        assert assert_same_as_exact(r, path) is None
+        with pytest.raises(ParseError, match="line 3: expected 4 fields"):
+            r.read(path)
+
+
+SMALL_BLOCK = 40
+
+
+class TestFastPathInSmallBlocks(TestFastPath):
+    """Every fast-path test again, with blocks of a few rows each."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def small_blocks(self):
+        with mock.patch.object(cells, "_BLOCK_CHARS", SMALL_BLOCK):
+            yield
+
+    # hypothesis runs a test function from one class only
+    @settings(max_examples=400, deadline=None)
+    @given(case=csv_files())
+    def test_agrees_with_the_exact_reader(self, tmp_path_factory, case):
+        name, data = case
+        path = write(tmp_path_factory.mktemp("csv"), data)
+        assert_same_as_exact(READERS[name], path)
+
 
 # ---------------------------------------------------------------------------
 # writers

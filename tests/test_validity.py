@@ -12,6 +12,7 @@ before the closed forms were implemented:
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -643,6 +644,16 @@ class TestFixedTauBruteforce:
     def test_population_mean(self):
         d = binary_design(tau=(3.0, 1.0))
         assert fixed_tau_bruteforce(d, 1.4) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mu0", [math.inf, -math.inf])
+    def test_infinite_mu0_keeps_nothing(self, mu0):
+        # 0 * inf in the pattern sums made NaNs, and every pattern passed
+        d = cell_table(("a", "b", "c"), (0.1, 0.2, 0.7), (1, 1, 1),
+                       tau=(1, 2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fixed_tau_bruteforce(d, mu0) == 0.0
+            assert fixed_tau_internal_validity(d, mu0)[0].p_internal == 0.0
 
     def test_instance_cap(self):
         k = 13
