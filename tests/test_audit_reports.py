@@ -9,8 +9,9 @@ mass-reduction solver's value.
 
 `OUTPUT_SHA256` pins, on the same kind of seeded inputs, the outputs no
 other test pins: the `bounds` report with and without the sign split,
-the `figure-data` CSVs and reports, the `simulate` meta report, and the
-human-readable lines of `audit` with bounds, `bounds` and `bootstrap`.
+the `figure-data` CSVs and reports, the `simulate` meta report, the
+`bootstrap` report with every draw, and the human-readable lines of
+`audit` with bounds, `bounds` and `bootstrap`.
 """
 
 import hashlib

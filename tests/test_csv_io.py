@@ -445,7 +445,7 @@ class TestFastPath:
 
     def test_comment_lines_before_the_header(self, tmp_path):
         r = READERS["micro"]
-        text = "".join("# a comment longer than a block: %s\n" % ("#" * i)
+        text = "".join("# comment %s\n" % ("#" * i)
                        for i in range(SMALL_BLOCK)) + r.text(list(r.rows) * 8)
         path = write(tmp_path, text)
         assert assert_same_as_exact(r, path) is not None

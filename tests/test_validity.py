@@ -655,6 +655,14 @@ class TestFixedTauBruteforce:
             assert fixed_tau_bruteforce(d, mu0) == 0.0
             assert fixed_tau_internal_validity(d, mu0)[0].p_internal == 0.0
 
+    def test_mu0_just_outside_the_range_keeps_nothing(self):
+        # the 0.1-mass cell at tau = 3 passed the balance tolerance, while
+        # the hull test puts mu0 outside and the closed form keeps nothing
+        d = cell_table(("a", "b", "c"), (0.7, 0.2, 0.1), (1, 1, 1),
+                       tau=(1, 2, 3))
+        assert not check_fixed_existence(d, 3 + 1e-11)
+        assert fixed_tau_bruteforce(d, 3 + 1e-11) == 0.0
+
     def test_instance_cap(self):
         k = 13
         d = cell_table(tuple(map(str, range(k))), np.full(k, 1 / k),
