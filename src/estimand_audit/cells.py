@@ -429,8 +429,8 @@ def read_csv(path, columns, exact=False):
     or is a function (path, header) -> such a map.  Short rows are padded
     and long ones rejected, or with `exact` both are errors.  The bad
     value on the earliest row (leftmost on a tie) is reported.  A plain
-    file is read by `_read_plain`; every other file, and every error, by
-    the csv module below."""
+    file is streamed in blocks by `_read_plain`; every other file, and
+    every error, is read whole by the csv module below."""
     fast = _read_plain(path, columns)
     if fast is not None:
         return fast
@@ -477,7 +477,30 @@ def read_csv(path, columns, exact=False):
     return out
 
 
-_BLOCK_CHARS = 1 << 20  # about how much of a CSV body is parsed at a time
+_BLOCK_CHARS = 1 << 18  # about how much of a CSV body is read at a time
+
+
+def _plain(text):
+    """Whether `text` has no quote, NUL (which csv rejects before Python
+    3.11) or lone CR."""
+    return not ('"' in text or "\0" in text
+                or text.count("\r") != text.count("\r\n"))
+
+
+def _blocks(fh, size):
+    """The rest of `fh` in blocks of whole lines of about `size`
+    characters, or in one block if size < 0; the last block ends where
+    the file does, with or without a newline."""
+    carry = ""
+    for chunk in iter(functools.partial(fh.read, size), ""):
+        cut = chunk.rfind("\n") + 1 if size > 0 else 0
+        if cut:
+            yield carry + chunk[:cut]
+            carry = chunk[cut:]
+        else:  # a line longer than a block goes on
+            carry += chunk
+    if carry:
+        yield carry
 
 
 def _read_plain(path, columns):
@@ -486,63 +509,59 @@ def _read_plain(path, columns):
     Columns whose parser `reads_floats` are parsed by `np.loadtxt`, which
     calls the same C routine as `float`; every other column goes to its
     parser as text.  The exact reader decides every other file, so that
-    it alone raises: a file is declined on any error, a quote, a NUL
-    (which csv rejects before Python 3.11), a lone CR, no data rows
-    (loadtxt would warn), a line over the csv field limit or a wrong
-    field count in a block.  Short and blank rows fail in loadtxt or in
-    the parsers, which reject a blank float, 0/1 or adoption period, and
-    every table has one.
+    it alone raises: a file is declined on any error, a quote, a NUL, a
+    lone CR (`_plain`), no data rows (loadtxt would warn), a line over
+    the csv field limit or a wrong field count in a block.  Short and
+    blank rows fail in loadtxt or in the parsers, which reject a blank
+    float, 0/1 or adoption period, and every table has one.
 
-    The body is parsed in blocks of whole lines, about `_BLOCK_CHARS`
-    long, and each column's blocks are joined at the end; a parsed text
-    column keeps one string per distinct value.  So beyond the text and
-    the columns it returns, memory is bounded by a block.  A parser that
-    checks across rows (`whole_column`) is given the body in one block."""
+    The file is streamed: the leading lines are read one at a time and
+    the body in blocks of whole lines of about `_BLOCK_CHARS`, each
+    checked, parsed and dropped; each column's blocks are joined at the
+    end, and a parsed text column keeps one string per distinct value.
+    So beyond the columns it returns, memory is bounded by a block.  A
+    parser that checks across rows (`whole_column`) is given the body in
+    one block."""
     try:
         with open(path, newline="") as fh:
-            text = fh.read()
-        if ('"' in text or "\0" in text
-                or text.count("\r") != text.count("\r\n")):
-            return None
-        lo = 0
-        while True:  # a file that ends before the header's newline has no rows
-            end = text.index("\n", lo)
-            if not text[lo:end].lstrip().startswith("#"):
-                break
-            lo = end + 1
-        header = [h.strip() for h in text[lo:end].split(",")]
-        if callable(columns):
-            columns = columns(path, header)
-        elif header != list(columns):
-            return None
-        kinds = [float if getattr(parse, "reads_floats", False) else object
-                 for parse in columns.values()]
-        dtype = list(zip(columns, kinds))
-        parts, memos = {name: [] for name in columns}, {name: {} for name in columns}
-        step = (len(text) if any(getattr(parse, "whole_column", False)
-                                 for parse in columns.values()) else _BLOCK_CHARS)
-        lo = end + 1
-        if lo == len(text):
-            return None  # no data rows
-        while lo < len(text):
-            hi = text.find("\n", lo + step) + 1 or len(text)
-            rows = text[lo:hi].split("\n")
-            if not rows[-1]:  # after the newline that ends the block
-                rows.pop()
-            if (text.count(",", lo, hi) != (len(columns) - 1) * len(rows)
-                    or max(map(len, rows)) > csv.field_size_limit()):
+            while True:  # a file ending before the header's newline has no rows
+                line = fh.readline()
+                if not (_plain(line) and line.endswith("\n")):
+                    return None
+                if not line.lstrip().startswith("#"):
+                    break
+            header = [h.strip() for h in line[:-1].split(",")]
+            if callable(columns):
+                columns = columns(path, header)
+            elif header != list(columns):
                 return None
-            lo = hi
-            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
-                               ndmin=1)
-            for (name, parse), kind in zip(columns.items(), kinds):
-                column = (table[name].copy() if kind is float
-                          else parse(table[name].tolist(), name))
-                if isinstance(column, list):  # one object per distinct value
-                    parts[name].extend(map(memos[name].setdefault, column, column))
-                else:
-                    parts[name].append(column)
-        del text
+            kinds = [float if getattr(parse, "reads_floats", False) else object
+                     for parse in columns.values()]
+            dtype = list(zip(columns, kinds))
+            parts = {name: [] for name in columns}
+            memos = {name: {} for name in columns}
+            whole = any(getattr(parse, "whole_column", False)
+                        for parse in columns.values())
+            for block in _blocks(fh, -1 if whole else _BLOCK_CHARS):
+                rows = block.split("\n")
+                if not rows[-1]:  # after the newline that ends the block
+                    rows.pop()
+                if (not _plain(block)
+                        or block.count(",") != (len(columns) - 1) * len(rows)
+                        or max(map(len, rows)) > csv.field_size_limit()):
+                    return None
+                table = np.loadtxt(rows, dtype=dtype, delimiter=",",
+                                   comments=None, ndmin=1)
+                for (name, parse), kind in zip(columns.items(), kinds):
+                    column = (table[name].copy() if kind is float
+                              else parse(table[name].tolist(), name))
+                    if isinstance(column, list):  # one object per distinct value
+                        parts[name].extend(map(memos[name].setdefault, column,
+                                               column))
+                    else:
+                        parts[name].append(column)
+        if not any(parts.values()):
+            return None  # no data rows
         return {name: np.concatenate(part) if isinstance(part[0], np.ndarray)
                 else part for name, part in parts.items()}
     except Exception:  # whatever this path cannot read, the exact reader reports
@@ -615,6 +634,22 @@ def quoted(labels):
     return list(map(form.__getitem__, labels))
 
 
+class Coded:
+    """A `write_csv` column of labels given by code: the distinct labels
+    and each row's index into them.  Each label is quoted once and a
+    block's fields are gathered by code."""
+
+    def __init__(self, labels, codes):
+        self.fields = np.array(quoted(list(labels)), dtype=object)
+        self.codes = codes
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, rows):
+        return self.fields[self.codes[rows]].tolist()
+
+
 _BLOCK_FIELDS = 1 << 15  # fields formatted at a time by `write_csv`
 _BIT_FIELDS = ("0", "1")
 
@@ -634,7 +669,7 @@ def write_csv(path, columns):
     """Write {header name: column} to a path or text stream, byte for byte
     as csv.writer would.  A column is a float array, written by `repr`, a
     0/1 integer array, a str or object array of labels, which go through
-    `quoted`, or a list of formatted fields.
+    `quoted`, labels by code (`Coded`) or a list of formatted fields.
 
     Memory is bounded by a block: each slice of about `_BLOCK_FIELDS`
     fields is formatted from the arrays, written and dropped, so that an

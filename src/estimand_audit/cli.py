@@ -2,7 +2,8 @@
 bootstrap, simulation, and figure-data emission.
 
 Exit codes: 0 on success, 1 for domain errors (bad input data, missing
-tau where one is needed), 2 for usage errors.  A design for which no
+tau where one is needed) and for running out of memory, 2 for usage
+errors.  A design for which no
 causal representation exists is *not* an error — the finding is reported
 in the ``exists`` field and the share rows are zero.
 
@@ -534,6 +535,9 @@ def main(argv=None):
             return args.func(args, parser)
     except (AuditError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's says what it could not allocate
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 1
 
 

@@ -25,6 +25,7 @@ from .cells import (
     _as_float_array,
     _BadField,
     _store,
+    Coded,
     binary_col,
     float_col,
     read_csv,
@@ -58,46 +59,73 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MicroSample:
     """Row-level sample: cell label, binary treatment, optional binary
-    instrument and optional outcome."""
+    instrument and optional outcome.
 
-    x: np.ndarray
+    The labels are held factorized: `labels` are the distinct ones in
+    code-point order, as `np.unique` sorts a str array, and `codes` holds
+    each row's index into them in the smallest integer type that fits.
+    `x`, the label of each row, is derived from the two.
+    `MicroSample(x, d, z, y)` factorizes x once."""
+
+    labels: np.ndarray
+    codes: np.ndarray
     d: np.ndarray
     z: np.ndarray | None = None
     y: np.ndarray | None = None
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=str)
-        d = np.asarray(self.d)
-        if x.ndim != 1 or d.shape != x.shape:
+    def __init__(self, x, d, z=None, y=None):
+        x = np.asarray(x, dtype=str)
+        if x.ndim != 1:
+            raise SchemaError("x and d must be matching vectors")
+        labels, codes = np.unique(x, return_inverse=True)
+        codes = codes.astype(np.min_scalar_type(len(labels)))
+        self._set(labels, codes, d, z, y)
+
+    @classmethod
+    def _coded(cls, labels, codes, d, z=None, y=None):
+        """The sample whose x is labels[codes], from distinct sorted
+        labels that each label some row, without a label per row."""
+        sample = cls.__new__(cls)
+        sample._set(labels, codes, d, z, y)
+        return sample
+
+    def _set(self, labels, codes, d, z, y):
+        d = np.asarray(d)
+        if d.shape != codes.shape:
             raise SchemaError("x and d must be matching vectors")
         if not np.isin(d, (0, 1)).all():
             raise SchemaError("treatment values must be 0 or 1")
         d = d.astype(np.int8)
-        z = self.z
         if z is not None:
             z = np.asarray(z)
-            if z.shape != x.shape or not np.isin(z, (0, 1)).all():
+            if z.shape != codes.shape or not np.isin(z, (0, 1)).all():
                 raise SchemaError("instrument values must be 0 or 1")
             z = z.astype(np.int8)
-        y = self.y
         if y is not None:
             y = np.asarray(y, dtype=float)
-            if y.shape != x.shape:
+            if y.shape != codes.shape:
                 raise SchemaError("y must match the sample length")
             if not np.isfinite(y).all():
                 raise SchemaError("outcome values must be finite")
-        _store(self, x=x, d=d, z=z, y=y)
+        _store(self, labels=labels, codes=codes, d=d, z=z, y=y)
+
+    @property
+    def x(self):
+        """Each row's label, as a new read-only str array."""
+        x = self.labels[self.codes]
+        x.setflags(write=False)
+        return x
 
     @property
     def n(self):
-        return len(self.x)
+        return len(self.codes)
 
     def to_csv(self, path):
         """Write the sample as CSV to a path or a text stream."""
-        write_csv(path, {"x": self.x, **{
+        write_csv(path, {"x": Coded(self.labels, self.codes), **{
             name: v for name, v in (("d", self.d), ("z", self.z), ("y", self.y))
             if v is not None}})
 
@@ -115,7 +143,22 @@ def _micro_columns(path, header):
 def load_micro(path):
     """Read a micro sample CSV; the instrument and outcome columns are
     optional but the column order x, d, z, y is fixed."""
-    return MicroSample(**read_csv(path, _micro_columns, exact=True))
+    columns = read_csv(path, _micro_columns, exact=True)
+    return MicroSample._coded(*_factorize(columns["x"]),
+                              *map(columns.get, "dzy"))
+
+
+def _factorize(values):
+    """(the distinct labels of a list of str, sorted, and each value's
+    index into them), as `np.unique` of their str array gives them: such
+    an array drops trailing NULs and sorts by code point."""
+    form = {v: v.rstrip("\0") for v in set(values)}
+    labels = sorted(set(form.values()))
+    rank = dict(zip(labels, range(len(labels))))
+    code = {v: rank[f] for v, f in form.items()}
+    codes = np.fromiter(map(code.__getitem__, values),
+                        np.min_scalar_type(len(labels)), len(values))
+    return np.array(labels, dtype=str), codes
 
 
 @dataclass(frozen=True)
@@ -161,8 +204,8 @@ class PanelData:
     def to_csv(self, path):
         """Write the panel as CSV to a path or a text stream."""
         periods, at = np.unique(self.g, return_inverse=True)
-        g = np.array(["inf" if math.isinf(v) else str(int(v))
-                      for v in periods.tolist()], dtype=object)[at]
+        g = Coded(["inf" if math.isinf(v) else str(int(v))
+                   for v in periods.tolist()], at)
         write_csv(path, {"unit": np.array(self.units, dtype=object), "g": g, **{
             f"y{t}": col for t, col in enumerate(self.y.T, start=1)}})
 
@@ -395,27 +438,44 @@ def simulate(spec, n, seed=None):
                      "simulate", spec.family)
     if spec.family == "staggered_did":
         return _simulate_panel(spec, n, rng)
-    labels = np.asarray([c.label for c in spec.cells])
     mass = np.asarray([c.mass for c in spec.cells])
-    tau = np.asarray([c.tau for c in spec.cells])
-    base = np.asarray([c.baseline for c in spec.cells])
-    idx = rng.choice(len(labels), size=n, p=mass)
-    noise = spec.noise_scale * rng.standard_normal(n)
+    tau = np.asarray([c.tau for c in spec.cells], dtype=float)
+    base = np.asarray([c.baseline for c in spec.cells], dtype=float)
+    idx = rng.choice(len(mass), size=n, p=mass)
+    noise = rng.standard_normal(n)
+    noise *= spec.noise_scale
+    d, z = _treatment(spec, idx, rng)
+    # y = base + d * tau + noise, in that order, in place
+    y, effect = base[idx], tau[idx]
+    effect *= d
+    y += effect
+    del effect
+    y += noise
+    del noise
+    # the labels of the cells drawn, sorted, and each row's rank among them
+    drawn = np.bincount(idx, minlength=len(mass)) > 0
+    labels, rank = np.unique(np.asarray([c.label for c in spec.cells],
+                                        dtype=str)[drawn], return_inverse=True)
+    code = np.zeros(len(mass), np.min_scalar_type(len(labels)))
+    code[drawn] = rank
+    return MicroSample._coded(labels, code[idx], d, z, y)
+
+
+def _treatment(spec, idx, rng):
+    """The drawn units' treatment d and, in the IV family, instrument z."""
+    n = len(idx)
     if spec.family == "unconfoundedness":
         p = np.asarray([c.p for c in spec.cells])
-        d = (rng.random(n) < p[idx]).astype(np.int8)
-        y = base[idx] + d * tau[idx] + noise
-        return MicroSample(x=labels[idx], d=d, y=y)
+        return (rng.random(n) < p[idx]).astype(np.int8), None
     pz = np.asarray([c.pz for c in spec.cells])
     pc = np.asarray([c.pc for c in spec.cells])
     pa = np.asarray([c.pa for c in spec.cells])
     z = (rng.random(n) < pz[idx]).astype(np.int8)
     u = rng.random(n)
     complier = u < pc[idx]
-    always = (u >= pc[idx]) & (u < (pc + pa)[idx])
-    d = (complier * z + always).astype(np.int8)
-    y = base[idx] + d * tau[idx] + noise
-    return MicroSample(x=labels[idx], d=d, z=z, y=y)
+    always = ~complier  # pc is finite, so this is u >= pc
+    always &= u < (pc + pa)[idx]
+    return (complier * z + always).astype(np.int8), z
 
 
 def _simulate_panel(spec, n, rng):

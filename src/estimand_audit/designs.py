@@ -218,15 +218,16 @@ adoption_col = functools.partial(float_col, words={"never": math.inf})
 
 def _group_col(values, name):
     """Distinct adoption periods; any infinite value means never treated."""
-    groups = []
+    groups, seen = [], set()
     for i, g in enumerate(adoption_col(values, name).tolist()):
         if not (math.isinf(g) or g.is_integer()):
             raise _BadField(i, ParseError, f"{name} must be a whole period "
                             f"or inf, got {values[i].strip()!r}")
         g = math.inf if math.isinf(g) else int(g)
-        if g in groups:
+        if g in seen:
             raise _BadField(i, ParseError, f"duplicated {name} {_g_str(g)}")
         groups.append(g)
+        seen.add(g)
     return groups
 
 

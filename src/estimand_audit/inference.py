@@ -236,7 +236,7 @@ def _theta(joint, n, family):
 def estimate_design(sample, family):
     """Estimate the weighted-design cell table from micro data.
 
-    Cells are the distinct covariate labels, ordered lexicographically.
+    Cells are the sample's distinct labels, in code-point order.
     Every cell must contain both treatment arms (both instrument arms
     for the instrumented families); otherwise the within-cell
     frequencies the weights are built from are undefined.
@@ -244,8 +244,8 @@ def estimate_design(sample, family):
     Parameters
     ----------
     sample : MicroSample
-        Rows with covariate label `x`, treatment `d`, and — for the
-        families built from an IvCellTable — instrument `z`.
+        Rows with a cell code into `labels`, treatment `d`, and — for
+        the families built from an IvCellTable — instrument `z`.
     family : str
         A name in ``ESTIMABLE``.
 
@@ -267,15 +267,17 @@ def estimate_design(sample, family):
             "unknown family %r; expected one of %s" % (family, ", ".join(ESTIMABLE))
         )
     arms = _FROM_COUNTS[ESTIMAND_FAMILIES[family].primitive][0]
-    labels, inv = np.unique(np.asarray(sample.x), return_inverse=True)
+    labels = sample.labels
     k = labels.shape[0]
     n = sample.n
     columns = [getattr(sample, arm) for arm in arms]
     if any(c is None for c in columns):
         raise SchemaError("family %r requires an instrument column z" % family)
-    cell = inv  # each row's index into the (cell, *arms) counts
+    # each row's index into the (cell, *arms) counts
+    cell = sample.codes.astype(np.intp)
     for c in columns:
-        cell = 2 * cell + c
+        cell *= 2
+        cell += c
     joint = np.bincount(cell, minlength=k * 2 ** len(arms)).reshape(
         (k,) + (2,) * len(arms))
     # both values of the first arm must occur in every cell

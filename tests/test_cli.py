@@ -13,14 +13,18 @@ Frozen orientation values used below:
   representation exists there.
 """
 
+import contextlib
 import csv
+import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from estimand_audit import cli
+from estimand_audit import cells, cli
 from estimand_audit.cells import MomentSummary
 from estimand_audit.data_io import MicroSample
 
@@ -391,6 +395,67 @@ class TestBootstrapCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# labels that csv quotes, that are not ASCII, that look like numbers or
+# that the readers take as another label (stripped, or a trailing NUL)
+SHUFFLE_LABELS = ["a", "b,c", 'say "hi"', "line\nbreak", "\xe9", "\u65e5\u672c",
+                  "\U0001f600", "1", "1.0", "01", "-0", "1e3", "nan", "Z", "z",
+                  " a ", "a\x00", ""]
+
+
+def micro_outputs(path, family):
+    """(exit code, stdout, stderr, --json bytes) of estimate and bootstrap
+    on the micro file at `path`."""
+    out = []
+    for args in (("estimate",), ("bootstrap", "--B", "50", "--seed", "4")):
+        report = path.with_suffix(".json")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = run(*args, "--data", path, "--family", family,
+                       "--json", report)
+        out.append((code, stdout.getvalue(), stderr.getvalue(),
+                    report.read_bytes() if report.exists() else None))
+        report.unlink(missing_ok=True)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shuffled_rows_give_the_same_estimate_and_bootstrap(
+        tmp_path_factory, data):
+    """Cells are sorted labels and the bootstrap resamples their counts,
+    so the order of a micro file's rows changes no byte of either report,
+    from the numpy fast path or from the exact reader."""
+    labels = data.draw(st.lists(
+        st.sampled_from(SHUFFLE_LABELS)
+        | st.text(st.sampled_from(',"\xe9\u65e5 .-e019x\x00'), max_size=4),
+        min_size=1, max_size=4, unique=True))
+    family = data.draw(st.sampled_from(["ols_ate", "tsls"]))
+    rows = []
+    for label in labels:
+        # (z, d) counts: both arms of each, and more compliers than not
+        counts = {(0, 0): data.draw(st.integers(1, 4)), (0, 1): 1,
+                  (1, 0): data.draw(st.integers(1, 4)),
+                  (1, 1): data.draw(st.integers(5, 9))}
+        for (z, d), count in counts.items():
+            rows += [(label, d, z, data.draw(st.sampled_from(
+                [0.5, -1.25, 1e-300, 3.0])))] * count
+    shuffled = data.draw(st.permutations(rows))
+    tmp_path = tmp_path_factory.mktemp("shuffle")
+    outputs = []
+    for name, table in (("rows", rows), ("shuffled", shuffled)):
+        path = tmp_path / ("%s.csv" % name)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("x", "d", "z", "y"))
+            writer.writerows(table)
+        outputs.append(micro_outputs(path, family))
+        with mock.patch.object(cells, "_read_plain", lambda path, columns: None):
+            outputs.append(micro_outputs(path, family))
+    assert outputs[0][0][0] == 0 or "error: " in outputs[0][0][2]
+    assert all(out == outputs[0] for out in outputs)
+
+
 class TestSimulateCommand:
     def test_byte_identical_with_seed(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -506,6 +571,26 @@ class TestUsageErrors:
         src.write_text("label,p,a,w0,tau\n1,0.4,0.2,1.0,\n2,0.4,0.1,1.0,\n")
         assert run("audit", "--design", src) == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 8.00 TiB for an array"),
+     "Unable to allocate 8.00 TiB for an array"),
+])
+def test_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch, exc,
+                                        message):
+    def build(table):
+        raise exc
+
+    monkeypatch.setattr(cli, "twfe_h_design", build)
+    src = tmp_path / "groups.csv"
+    src.write_text(GROUPS_CSV)
+    report = tmp_path / "report.json"
+    assert run("audit", "--family", "twfe_h", "--groups", src,
+               "--json", report) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["groups.csv"]
 
 
 def exits_with_error(capsys, *args):

@@ -8,6 +8,7 @@ reader; the differential tests check that the two never disagree.  The
 writer tests pin the exact bytes each `to_csv` produces on seeded inputs.
 """
 
+import csv
 import dataclasses
 import hashlib
 import io
@@ -398,9 +399,15 @@ class TestFastPath:
         "x,d,y\na,+1,0.5\nb,0,1.0\n",             # not exactly 0/1
         "x,d,y\na,10,0.5\nb,0,1.0\n",
         "x,d,y\na,1,1_0\nb,0,1.0\n",              # float takes it, numpy not
+        "# a\rb\nx,d,y\na,1,0.5\nb,0,1.0\n",      # a lone CR in a comment
+        "# a\r\rx,d,y\na,1,0.5\nb,0,1.0\n",
+        "x,d,y\n",                               # a header and no rows
+        "x,d,y",
     ], ids=["long-and-short", "extra", "quote", "lone-cr", "spaces-row",
             "blank-row", "short-row", "long-field", "nul", "undecodable",
-            "plus-one", "ten", "underscore"])
+            "plus-one", "ten", "underscore", "lone-cr-in-comment",
+            "lone-crs-ending-comment", "header-only",
+            "header-only-without-newline"])
     def test_declines(self, tmp_path, text):
         path = write(tmp_path, text)
         assert assert_same_as_exact(READERS["micro"], path) is None
@@ -414,6 +421,45 @@ class TestFastPath:
             assert assert_same_as_exact(r, path) is None
             with pytest.raises(SchemaError, match="no data rows"):
                 r.read(path)
+
+    # the cases below put a row where the first block the body is read
+    # in ends (`first_read_ends_in`), at either block size
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_block_ends_between_cr_and_lf(self, tmp_path, eol):
+        r = READERS["micro"]
+        row = "a,1,0,0.5\r\n"
+        body = first_read_ends_in(row, len(row) - 1, eol) + "b,0,1,1.5" + eol
+        path = write(tmp_path, ",".join(r.header) + eol + body)
+        assert assert_same_as_exact(r, path) is not None
+
+    @pytest.mark.parametrize("cut", [0, 1, 8])
+    def test_file_ends_without_a_newline_where_a_block_does(self, tmp_path,
+                                                             cut):
+        r = READERS["micro"]
+        row = "a,1,0,0.5"
+        path = write(tmp_path, ",".join(r.header) + "\n"
+                     + first_read_ends_in(row, len(row) - cut))
+        assert assert_same_as_exact(r, path) is not None
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_multibyte_label_across_a_block_end(self, tmp_path, cut):
+        r = READERS["micro"]
+        row = "\u65e5\u672c\U0001f600,1,0,0.5\n"
+        path = write(tmp_path, ",".join(r.header) + "\n"
+                     + first_read_ends_in(row, cut) + "b,0,1,1.5\n")
+        fast = assert_same_as_exact(r, path)
+        assert fast is not None and fast["x"][-2] == row[:3]
+
+    def test_line_longer_than_a_block(self, tmp_path):
+        r = READERS["micro"]
+        label = "x" * (3 * cells._BLOCK_CHARS)
+        path = write(tmp_path, r.text([("a", "1", "0", "0.5"),
+                                       (label, "0", "1", "1.5"),
+                                       ("b", "1", "1", "2.5")]))
+        fast = assert_same_as_exact(r, path)
+        # a line over the csv field limit is declined, and csv rejects it
+        assert (fast is not None) == (len(label) < csv.field_size_limit())
 
     # the cases below span several blocks at SMALL_BLOCK characters
 
@@ -463,6 +509,17 @@ class TestFastPath:
 
 
 SMALL_BLOCK = 40
+
+
+def first_read_ends_in(row, cut, eol="\n"):
+    """Rows x,d,z,y then `row`: a body whose first `_BLOCK_CHARS`
+    characters, the first block read after the header, end `cut`
+    characters into `row`."""
+    filler = "f,1,0,0.5" + eol
+    before = cells._BLOCK_CHARS - cut
+    m = before // len(filler) - 1
+    first = "f" + "x" * (before - (m + 1) * len(filler)) + filler[1:]
+    return first + filler * m + row
 
 
 class TestFastPathInSmallBlocks(TestFastPath):

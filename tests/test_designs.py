@@ -37,6 +37,7 @@ from estimand_audit.errors import (
     NoCompliers,
     NoTreatedGroups,
     OverlapViolation,
+    ParseError,
 )
 
 from .helpers import (
@@ -198,6 +199,23 @@ class TestGroupDistribution:
         back = GroupDistribution.from_csv(path)
         assert back.t == 3
         assert back.shares == pytest.approx(gd.shares, abs=0)
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_many_periods(self, tmp_path, duplicate):
+        # T = 16000 periods, once with the last row repeating the first
+        t = 16000
+        rows = ["%d,%r" % (g, 1 / t) for g in range(2, t + 1)]
+        rows.append("%s,%r" % ("2" if duplicate else "inf", 1 / t))
+        path = tmp_path / "gd.csv"
+        path.write_text("g,share\n" + "\n".join(rows) + "\n")
+        if duplicate:
+            with pytest.raises(ParseError, match=r"^line %d: duplicated g 2$"
+                               % (t + 1)):
+                GroupDistribution.from_csv(path)
+        else:
+            gd = GroupDistribution.from_csv(path)
+            assert gd.t == t and len(gd.shares) == t
+            assert list(gd.shares)[-2:] == [t, math.inf]
 
 
 class TestTwfeCdh:

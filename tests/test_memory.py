@@ -1,18 +1,24 @@
 """Memory of the micro-data path.
 
-The CSV writer, the plain-file reader and the bootstrap hold a bounded
-block of Python objects beyond the arrays they return or evaluate whole.
-Each test takes the tracemalloc peak of one call at two sizes and bounds
-how much it grows by a small multiple of how much those arrays grow.  A
-string kept per row, about 170 bytes a row in all, exceeds every bound.
+The CSV writer, the plain-file reader, the estimator and the bootstrap
+hold a bounded block of Python objects beyond the arrays they return or
+evaluate whole.  Each test takes the tracemalloc peak of one call at two
+sizes and bounds how much it grows by a small multiple of how much those
+arrays grow.  A string kept per row, about 50 bytes a row or more,
+exceeds every bound; so do the file's text and a str array of labels.
 """
 
+import sys
 import tracemalloc
 
 import pytest
 
-from estimand_audit.data_io import DgpSpec, load_micro, simulate
-from estimand_audit.inference import BootstrapConfig, bootstrap_ci
+from estimand_audit.data_io import DgpSpec, load_micro, load_panel, simulate
+from estimand_audit.inference import (
+    BootstrapConfig,
+    bootstrap_ci,
+    estimate_design,
+)
 
 K = 50
 
@@ -26,7 +32,9 @@ def iv_sample(n):
 
 
 def nbytes(sample):
-    return sum(v.nbytes for v in (sample.x, sample.d, sample.z, sample.y))
+    """What the sample holds: its labels, a code per row and its columns."""
+    return sum(v.nbytes for v in (sample.labels, sample.codes, sample.d,
+                                  sample.z, sample.y))
 
 
 def traced_peak(call):
@@ -53,16 +61,54 @@ def test_writer_holds_a_block(tmp_path, samples):
     assert peaks[1] - peaks[0] <= 0.5 * (nbytes(large) - nbytes(small))
 
 
-def test_reader_holds_the_text_and_a_block(tmp_path, samples):
+@pytest.fixture(scope="module")
+def micro_files(tmp_path_factory, samples):
     paths = []
     for n, sample in samples.items():
-        paths.append(tmp_path / ("s%d.csv" % n))
+        paths.append(tmp_path_factory.mktemp("micro") / ("s%d.csv" % n))
         sample.to_csv(paths[-1])
-    (small, low), (large, high) = (traced_peak(lambda: load_micro(p))
-                                   for p in paths)
-    # the file's text, a reference per label and the columns as they are
-    # joined are each about as large as the arrays returned
-    assert high - low <= 4 * (nbytes(large) - nbytes(small))
+    return paths
+
+
+def test_reader_holds_a_block(samples, micro_files):
+    small, large = samples.values()
+    (back, low), (_, high) = (traced_peak(lambda: load_micro(p))
+                              for p in micro_files)
+    assert back.codes.itemsize == 1  # 50 labels
+    # a reference per row to its label (8 B) and the outcome's blocks as
+    # they are joined (8 B) are about 1.7 times a row of the arrays
+    # returned (11 B): the 1-B code, d, z and the 8-B outcome
+    assert high - low <= 2.25 * (nbytes(large) - nbytes(small))
+
+
+def test_estimator_holds_an_index_per_row(samples):
+    small, large = samples.values()
+    low, high = (traced_peak(lambda: estimate_design(s, "tsls"))[1]
+                 for s in (small, large))
+    # each row's (cell, z, d) index, 8 B a row, below the 11 B it reads
+    assert high - low <= 1 * (nbytes(large) - nbytes(small))
+
+
+def staggered_panel(n, t=20):
+    spec = DgpSpec.from_json_dict({
+        "family": "staggered_did", "seed": 5, "t": t, "trend_slope": 0.1,
+        "groups": [{"g": g, "share": 1 / t, "tau": 1.0}
+                   for g in range(2, t + 1)] + [{"g": "inf", "share": 1 / t}]})
+    return simulate(spec, n)
+
+
+def test_panel_reader_holds_a_block(tmp_path):
+    sizes, peaks = [], []
+    for n in (2000, 8000):
+        path = tmp_path / ("p%d.csv" % n)
+        staggered_panel(n).to_csv(path)
+        panel, peak = traced_peak(lambda: load_panel(path))
+        sizes.append(panel.g.nbytes + panel.y.nbytes + sys.getsizeof(panel.units)
+                     + sum(map(sys.getsizeof, panel.units)))
+        peaks.append(peak)
+    # the outcome columns as their blocks are joined, and once more as
+    # they are stacked into the (n, T) matrix: about 1.4 times the panel
+    assert peaks[1] - peaks[0] <= 2 * (sizes[1] - sizes[0])
 
 
 def test_bootstrap_holds_its_perturbations_and_a_block(samples):
