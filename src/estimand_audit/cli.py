@@ -3,9 +3,9 @@ bootstrap, simulation, and figure-data emission.
 
 Exit codes: 0 on success, 1 for domain errors (bad input data, missing
 tau where one is needed) and for running out of memory, 2 for usage
-errors.  A design for which no
-causal representation exists is *not* an error — the finding is reported
-in the ``exists`` field and the share rows are zero.
+errors.  A design for which no causal representation exists is *not* an
+error — the finding is reported in the ``exists`` field and the share
+rows are zero.
 
 JSON reports carry a ``schema_version`` field; the human-readable audit
 table has one column for the uniform analysis and one for the fixed-tau

@@ -422,8 +422,8 @@ class TestFastPath:
             with pytest.raises(SchemaError, match="no data rows"):
                 r.read(path)
 
-    # the cases below put a row where the first block the body is read
-    # in ends (`first_read_ends_in`), at either block size
+    # the cases below put a given row where the first block of the body
+    # ends (`first_read_ends_in`), at either block size
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_block_ends_between_cr_and_lf(self, tmp_path, eol):
@@ -433,13 +433,14 @@ class TestFastPath:
         path = write(tmp_path, ",".join(r.header) + eol + body)
         assert assert_same_as_exact(r, path) is not None
 
-    @pytest.mark.parametrize("cut", [0, 1, 8])
-    def test_file_ends_without_a_newline_where_a_block_does(self, tmp_path,
-                                                             cut):
+    @pytest.mark.parametrize("past", [0, 1, 8])
+    def test_file_ends_without_a_newline_near_a_block_end(self, tmp_path,
+                                                          past):
+        # the file ends `past` characters after the first block does
         r = READERS["micro"]
         row = "a,1,0,0.5"
         path = write(tmp_path, ",".join(r.header) + "\n"
-                     + first_read_ends_in(row, len(row) - cut))
+                     + first_read_ends_in(row, len(row) - past))
         assert assert_same_as_exact(r, path) is not None
 
     @pytest.mark.parametrize("cut", [1, 2])
