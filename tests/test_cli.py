@@ -441,10 +441,10 @@ def test_shuffled_rows_give_the_same_estimate_and_bootstrap(
             rows += [(label, d, z, data.draw(st.sampled_from(
                 [0.5, -1.25, 1e-300, 3.0])))] * count
     shuffled = data.draw(st.permutations(rows))
-    tmp_path = tmp_path_factory.mktemp("shuffle")
+    # one path for both files, since an error message names it
+    path = tmp_path_factory.mktemp("shuffle") / "m.csv"
     outputs = []
-    for name, table in (("rows", rows), ("shuffled", shuffled)):
-        path = tmp_path / ("%s.csv" % name)
+    for table in (rows, shuffled):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("x", "d", "z", "y"))
