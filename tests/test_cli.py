@@ -396,10 +396,11 @@ class TestBootstrapCommand:
 
 
 # labels that csv quotes, that are not ASCII, that look like numbers or
-# that the readers take as another label (stripped, or a trailing NUL)
+# that the readers strip into another label (a NUL, which csv takes only
+# from Python 3.11, is left to test_data_io's factorization property)
 SHUFFLE_LABELS = ["a", "b,c", 'say "hi"', "line\nbreak", "\xe9", "\u65e5\u672c",
                   "\U0001f600", "1", "1.0", "01", "-0", "1e3", "nan", "Z", "z",
-                  " a ", "a\x00", ""]
+                  " a ", ""]
 
 
 def micro_outputs(path, family):
@@ -428,7 +429,7 @@ def test_shuffled_rows_give_the_same_estimate_and_bootstrap(
     from the numpy fast path or from the exact reader."""
     labels = data.draw(st.lists(
         st.sampled_from(SHUFFLE_LABELS)
-        | st.text(st.sampled_from(',"\xe9\u65e5 .-e019x\x00'), max_size=4),
+        | st.text(st.sampled_from(',"\xe9\u65e5 .-e019x'), max_size=4),
         min_size=1, max_size=4, unique=True))
     family = data.draw(st.sampled_from(["ols_ate", "tsls"]))
     rows = []

@@ -8,7 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from estimand_audit import data_io
 from estimand_audit.data_io import (
     DgpSpec,
     MicroSample,
@@ -89,6 +91,21 @@ class TestLoadMicro:
         assert list(back.x) == list(s.x)
         assert list(back.d) == list(s.d)
         assert back.y == pytest.approx(s.y, abs=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(max_size=4) | st.text("ab\x00\xe9", max_size=3),
+                    min_size=1, max_size=30))
+    def test_labels_are_factorized_as_np_unique_does(self, values):
+        # a str array sorts by code point and drops trailing NULs
+        labels, codes = data_io._factorize(values)
+        want, inverse = np.unique(np.asarray(values, dtype=str),
+                                  return_inverse=True)
+        assert labels.tolist() == want.tolist()
+        assert codes.tolist() == inverse.tolist()
+        s = MicroSample(x=values, d=[0] * len(values))
+        assert s.labels.tolist() == want.tolist()
+        assert s.codes.tolist() == inverse.tolist()
+        assert s.x.tolist() == want[inverse].tolist()
 
 
 class TestLoadPanel:
