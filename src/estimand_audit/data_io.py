@@ -80,9 +80,7 @@ class MicroSample:
         x = np.asarray(x, dtype=str)
         if x.ndim != 1:
             raise SchemaError("x and d must be matching vectors")
-        labels, codes = np.unique(x, return_inverse=True)
-        codes = codes.astype(np.min_scalar_type(len(labels)))
-        self._set(labels, codes, d, z, y)
+        self._set(*_factorize(x.tolist()), d, z, y)
 
     @classmethod
     def _coded(cls, labels, codes, d, z=None, y=None):
@@ -454,9 +452,8 @@ def simulate(spec, n, seed=None):
     del noise
     # the labels of the cells drawn, sorted, and each row's rank among them
     drawn = np.bincount(idx, minlength=len(mass)) > 0
-    labels, rank = np.unique(np.asarray([c.label for c in spec.cells],
-                                        dtype=str)[drawn], return_inverse=True)
-    code = np.zeros(len(mass), np.min_scalar_type(len(labels)))
+    labels, rank = _factorize([c.label for c, k in zip(spec.cells, drawn) if k])
+    code = np.zeros(len(mass), rank.dtype)
     code[drawn] = rank
     return MicroSample._coded(labels, code[idx], d, z, y)
 

@@ -166,24 +166,10 @@ def adversarial_sign_check(design):
     return _mean((design.a < 0).astype(float), design.a * design.w0_mass)
 
 
-def _balance_tol(values, q, mu0):
-    """The tie and balance tolerance: 1e-12 of E|tau| + |mu0|, the size of
-    the program's sums, so it covers the rounding of tau - mu0 over the
-    cells and ignores an outlier that carries no mass.  No BLAS dot."""
-    return 1e-12 * _mean(np.abs(values), q) + 1e-12 * abs(mu0)
-
-
-def _in_hull(values, mu0):
-    """Whether mu0 lies in the range of `values`, up to 1e-12 of the largest
-    |tau| or |mu0|.  A mu0 that is not finite never does."""
-    tol = 1e-12 * max(float(np.max(np.abs(values))), abs(mu0))
-    return math.isfinite(mu0) and values.min() - tol <= mu0 <= values.max() + tol
-
-
 def check_fixed_existence(design, mu0=None):
-    """True iff the estimand value lies in the convex hull of the CATE
-    values on the base subpopulation (a representation exists for this
-    particular tau)."""
+    """True iff the given-tau program keeps a positive share: a
+    representation exists for this particular tau, as mu0 lies in tau's
+    range up to the balance tolerance (see `_program`)."""
     return _program(design, mu0, context="the existence check").inside
 
 
@@ -202,7 +188,9 @@ def check_linear_cate_existence(design):
     bary = (design.a * m) @ x / float((design.a * m).sum())
     pts = x[sub]
     if pts.shape[1] == 1:
-        return bool(_in_hull(pts[:, 0], float(bary[0])))
+        b = float(bary[0])  # in the range of x, up to 1e-12 of max |x|, |b|
+        tol = 1e-12 * max(float(np.max(np.abs(pts))), abs(b))
+        return bool(math.isfinite(b) and pts.min() - tol <= b <= pts.max() + tol)
     try:
         from scipy.optimize import linprog
     except ImportError:
@@ -261,17 +249,21 @@ def uniform_internal_validity(design):
     )
 
 
-def _trim_ascending(t, q):
-    """Largest sub-distribution of (t, q) with nonpositive mean zero.
+def _trim_ascending(t, q, tol):
+    """Largest sub-distribution of (t, q) that the balance test passes:
+    whole atoms of t, ascending, while sum(t*q) stays within tol, then a
+    fraction of the next atom only to bring the sum to zero.
 
-    Assumes sum(t*q) > 0.  Returns (alpha, kept, atom_fraction,
+    Assumes sum(t*q) > tol.  Returns (alpha, kept, atom_fraction,
     per-value inclusion): full inclusion strictly below alpha, fraction
     at the alpha atom, none above.
     """
     distinct, inverse = np.unique(t, return_inverse=True)
     masses = np.bincount(inverse, weights=q)
     cum = np.cumsum(distinct * masses)
-    crossing = np.flatnonzero((distinct > 0) & (cum >= 0))
+    crossing = np.flatnonzero((distinct > 0) & (cum > tol))
+    if not len(crossing):  # rounding left every atom within tol
+        return math.nan, 1.0, 1.0, np.ones_like(t)
     j = int(crossing[0])
     alpha = float(distinct[j])
     before = float(cum[j - 1]) if j > 0 else 0.0
@@ -291,7 +283,11 @@ def _program(source, mu0, context="the size program"):
     :class:`TauSample` (mu0 is required): the effects on the base
     subpopulation (`values`) with their conditional masses `q`, the mask
     of the cells they sit in (`sub`), the centred effects t = values -
-    mu0, `scale` = |t| @ q, the balance tolerance and the hull test."""
+    mu0, `scale` = |t| @ q, the one tie and balance tolerance `tol` =
+    1e-12 (E|tau| + |mu0|), the size of the program's sums, which covers
+    the rounding of tau - mu0 and ignores an outlier without mass, and
+    whether a positive share is kept (`inside`): mu0 is finite, and t has
+    both signs (or a zero) or the atom of t nearest zero is within tol."""
     if isinstance(source, TauSample):
         if mu0 is None:
             raise InvalidDesign("mu0 is required with a sample input")
@@ -305,8 +301,13 @@ def _program(source, mu0, context="the size program"):
         raise TypeError("expected a CellTable or a TauSample")
     mu0 = float(mu0)
     t = values - mu0
-    return _Program(values, q, sub, mu0, t, float(np.abs(t) @ q),
-                    _balance_tol(values, q, mu0), bool(_in_hull(values, mu0)))
+    tol = 1e-12 * _mean(np.abs(values), q) + 1e-12 * abs(mu0)
+    lo, hi = t.min(), t.max()
+    near = lo if lo > 0 else hi  # the t nearest zero if t has one sign
+    inside = math.isfinite(mu0) and (
+        lo <= 0 <= hi or abs(near) * np.bincount(t == near, q)[1] <= tol)
+    return _Program(values, q, sub, mu0, t, float(np.abs(t) @ q), tol,
+                    bool(inside))
 
 
 def fixed_tau_internal_validity(design_or_sample, mu0=None):
@@ -336,10 +337,10 @@ def fixed_tau_internal_validity(design_or_sample, mu0=None):
     elif not np.isfinite(t).all():
         raise NonFiniteResult(f"tau - mu0 overflows at mu0={mu0!r}")
     elif mu0 < e0:
-        alpha, kept, frac, inclusion = _trim_ascending(t, prog.q)
+        alpha, kept, frac, inclusion = _trim_ascending(t, prog.q, prog.tol)
         trim = TrimSolution("above", alpha, kept, frac, e0)
     else:
-        alpha, kept, frac, inclusion = _trim_ascending(-t, prog.q)
+        alpha, kept, frac, inclusion = _trim_ascending(-t, prog.q, prog.tol)
         trim = TrimSolution("below", -alpha, kept, frac, e0)
     rule = None
     if inclusion is not None:
@@ -373,8 +374,8 @@ def fixed_tau_lp(design, mu0):
         max sum f_k   s.t.  0 <= f_k <= q_k,  sum (tau_k - mu0) f_k = 0,
 
     by repeatedly zeroing the cell of the over-weighted tail and solving
-    the scalar balance equation at the boundary cell.  Agrees with the
-    closed form and the brute-force enumerator to 1e-10.
+    the scalar balance equation at the boundary cell.  As the closed form
+    does, it stops within tol only between atoms of tau, else at zero.
 
     The cells still at capacity form one run [lo, hi] of the sorted
     order: all start there, each step changes only an end of the run,
@@ -395,10 +396,10 @@ def fixed_tau_lp(design, mu0):
     bottom = _decided_steps(-t[::-1], q[::-1], prog.scale, s_tol)
     f[len(t) - top:] = 0.0
     f[:bottom] = 0.0
-    lo, hi = bottom, len(t) - 1 - top
+    lo, hi, tied = bottom, len(t) - 1 - top, False
     for _ in range(len(t) + 2 - top - bottom):
         s = float(t @ f)
-        if abs(s) <= s_tol:
+        if abs(s) <= s_tol and (s == 0.0 or not tied):
             return float(f.sum())
         if lo > hi:
             break
@@ -412,6 +413,7 @@ def fixed_tau_lp(design, mu0):
             f[k] = max(0.0, -float(t[k + 1:] @ f[k + 1:]) / t[k])
             if f[k] != q[k]:
                 lo += 1
+        tied = f[k] == 0.0 and lo <= hi and t[k] in (t[lo], t[hi])  # atom cut
     raise AuditError("the mass-reduction iteration failed to converge")
 
 
@@ -422,7 +424,7 @@ def fixed_tau_bruteforce(design, mu0):
     between its bounds, so every {0, q_k} pattern is tried with every
     candidate interior coordinate.  An oracle for up to BRUTE_FORCE_LIMIT
     base-subpopulation cells; more raise :class:`InstanceTooLarge`.  A
-    mu0 outside tau's range gives 0.0, as the closed form does.
+    program that is not `inside` gives 0.0, as the closed form does.
     """
     prog = _program(design, mu0)
     t, q, tol = prog.t, prog.q, prog.tol
@@ -442,7 +444,8 @@ def fixed_tau_bruteforce(design, mu0):
         if t[i] == 0.0:
             continue  # free coordinate: full mass, covered by the masks
         rows = masks[:, i] == 0
-        f_i = -base[rows] / t[i]
+        with np.errstate(over="ignore"):  # an infinite f_i is clipped
+            f_i = -base[rows] / t[i]  # to a bound it does not balance
         kept = np.clip(f_i, 0.0, q[i])
         feasible = np.abs(t[i] * (kept - f_i)) <= tol  # the clip's imbalance
         if feasible.any():

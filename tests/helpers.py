@@ -1,4 +1,8 @@
-"""Shared helpers for the test suite: canonical designs and random generators."""
+"""Shared helpers for the test suite: canonical designs, random generators,
+loop references and an exact-rational oracle of the given-tau program."""
+
+from collections import defaultdict, namedtuple
+from fractions import Fraction
 
 import numpy as np
 
@@ -155,13 +159,11 @@ def reference_twfe_h_design(gd):
 def reference_fixed_tau_lp(design, mu0):
     """Mass reduction that rescans every cell for the ones at capacity."""
     from estimand_audit.errors import AuditError, InfeasibleProgram
-    from estimand_audit.validity import (_balance_tol, _conditional_tau,
-                                         _in_hull)
+    from estimand_audit.validity import _program
 
-    values, q, _ = _conditional_tau(design, context="the size program")
-    mu0 = float(mu0)
-    tol = _balance_tol(values, q, mu0)
-    if not _in_hull(values, mu0):
+    prog = _program(design, mu0)
+    values, q, mu0, tol = prog.values, prog.q, prog.mu0, prog.tol
+    if not prog.inside:
         raise InfeasibleProgram(
             f"mu0={mu0!r} lies outside the CATE range "
             f"[{values.min()!r}, {values.max()!r}]"
@@ -170,9 +172,10 @@ def reference_fixed_tau_lp(design, mu0):
     t = values[order] - mu0
     q = q[order]
     f = q.copy()
+    tied = False  # a zeroed cell's tau is still at capacity in another
     for _ in range(len(t) + 2):
         s = float(t @ f)
-        if abs(s) <= tol:
+        if abs(s) <= tol and (s == 0.0 or not tied):
             return float(f.sum())
         full = np.flatnonzero(f == q)
         if s > 0:
@@ -181,4 +184,72 @@ def reference_fixed_tau_lp(design, mu0):
         else:
             k = int(full.min())  # bottom cell still at capacity
             f[k] = max(0.0, -float(t[k + 1:] @ f[k + 1:]) / t[k])
+        tied = f[k] == 0.0 and bool((t[f == q] == t[k]).any())
     raise AuditError("the mass-reduction iteration failed to converge")
+
+
+# ---------------------------------------------------------------------------
+# exact-rational oracle of the given-tau program
+# ---------------------------------------------------------------------------
+
+
+ExactProgram = namedtuple("ExactProgram",
+                          "share relaxed e0 alpha scale margin")
+
+
+def exact_given_tau(values, q, mu0, tol):
+    """The given-tau program of effects `values` with masses `q` at mu0,
+    solved in exact rational arithmetic by the solvers' one rule with
+    their float tolerance `tol`: nothing is kept unless t = tau - mu0 has
+    both signs (or a zero) or the atom of t nearest zero has |t| * mass
+    <= tol; everything is kept when |mu0 - E0| <= tol; otherwise the tail
+    of t that is heavier is trimmed, keeping whole atoms of t in
+    ascending order while the prefix sum of t * mass stays <= tol and a
+    fraction of the next atom only to bring that sum to zero.
+
+    Returns the share kept (summing the float masses exactly); `relaxed`,
+    the largest share whose imbalance is within tol, which brute force's
+    vertices may reach; E0; the |t| of the atom that is cut (None if none
+    is); scale = sum |t| q; and `margin`, the least distance to tol of
+    any exact sum that a solver compares with it: a draw whose margin is
+    within the float error of the solvers' sums can go either way."""
+    q = [Fraction(m) for m in q]
+    mu0, tol, total = Fraction(mu0), Fraction(tol), sum(q)
+    e0 = sum(Fraction(v) * m for v, m in zip(values, q)) / total
+    sign = 1 if mu0 <= e0 else -1  # trim the tail above mu0, or below it
+    atoms = defaultdict(Fraction)
+    for v, m in zip(values, q):
+        atoms[sign * (Fraction(v) - mu0)] += m
+    ts = sorted(atoms)
+    sums = [abs(mu0 - e0), abs(e0 - mu0) * total]  # the closed form's, lp's
+    cum = kept = Fraction(0)
+    share = relaxed = alpha = None
+    if ts[0] > 0:
+        sums.append(ts[0] * atoms[ts[0]])
+        if sums[-1] > tol:
+            share = Fraction(0)
+    if share is None and abs(mu0 - e0) <= tol:
+        share = total
+    for t in ts:
+        m = atoms[t]
+        sums.append(cum + t * m)
+        if share is None and t > 0 and cum + t * m > tol:
+            alpha = t
+            share = kept + min(m, max(Fraction(0), -cum) / t)
+            relaxed = kept + min(m, (tol - cum) / t)
+        cum, kept = cum + t * m, kept + m
+    if share is None:
+        share = total
+    scale = sum(abs(t) * m for t, m in atoms.items())
+    return ExactProgram(share, share if relaxed is None else relaxed, e0,
+                        alpha, scale, min(abs(s - tol) for s in sums))
+
+
+def require_close(what, got, want, bound, above=0):
+    """Raise AssertionError unless want - bound <= got <= want + above +
+    bound, compared exactly: an explicit raise, since `python -O` strips
+    asserts outside the test modules that pytest rewrites."""
+    miss = Fraction(got) - Fraction(want)
+    if not -Fraction(bound) <= miss <= Fraction(above) + Fraction(bound):
+        raise AssertionError(f"{what} = {got!r} is {float(miss)!r} from the "
+                             f"exact {float(want)!r}, beyond {bound!r}")

@@ -273,6 +273,30 @@ class TestAuditFixedTau:
         assert payload["diagnostics"]["warnings"] == []
         assert max(ft["solvers"].values()) <= 1.0
 
+    def test_mu0_an_ulp_below_tau_keeps_the_nearest_cell_in_every_solver(
+            self, tmp_path):
+        # mu = -16715314676903.422 is an ulp below the lowest tau; keeping
+        # c0 whole leaves an imbalance within the tolerance, so the closed
+        # form keeps it as the other two solvers do, and the report says so
+        src = tmp_path / "edge.csv"
+        src.write_text(
+            "label,p,a,w0,tau\n"
+            "c0,0.23298413438864393,0.5771478920398448,1.0,-16715314676903.42\n"
+            "c1,0.4388769397370133,-2.7842552906049124e-19,0.5710407389181016,"
+            "1.55716631416208e-307\n"
+            "c2,0.3281389258743428,0.5987699421420221,0.0,"
+            "-3.6005855569760823e-16\n")
+        out = tmp_path / "r.json"
+        assert run("audit", "--design", src, "--json", out, "--quiet") == 0
+        payload = json.loads(out.read_text())
+        ft = payload["fixed_tau"]
+        assert ft["mu0"] == -16715314676903.422
+        assert ft["agreement"] is True
+        assert payload["diagnostics"]["warnings"] == []
+        assert set(ft["solvers"].values()) == {0.48176959226596466}
+        assert ft["report"]["exists"] is True
+        assert ft["report"]["p_internal"] == 0.48176959226596466
+
     def test_tiny_scale_effects_audit_like_their_scale_one_copy(self, tmp_path):
         # every tolerance scales with (tau, mu0), so mu0 = 1.1 * 2**-43 is
         # no tie with E0 = 1.5 * 2**-43 and one tail is trimmed

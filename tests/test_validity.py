@@ -13,15 +13,17 @@ before the closed forms were implemented:
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from estimand_audit import validity
 from estimand_audit.bounds import SupportBounds, ate_bounds_from_validity
 from estimand_audit.cells import (CellTable, SubpopulationRule, cell_table,
-                                  discrete_weights, moment_summary, mu)
+                                  discrete_weights, moment_summary, mu,
+                                  normalize_sign)
 from estimand_audit.designs import (
     GroupDistribution,
     IvCellTable,
@@ -54,7 +56,8 @@ from estimand_audit.validity import (
     uniform_internal_validity,
 )
 
-from .helpers import binary_design, random_design, reference_fixed_tau_lp
+from .helpers import (binary_design, exact_given_tau, random_design,
+                      reference_fixed_tau_lp, require_close)
 
 
 def three_point_design(a=(1.0, -1.0, 1.0)):
@@ -454,6 +457,18 @@ class TestFixedTauLp:
         )
 
 
+@pytest.mark.parametrize("tied", [(0.001, 0.2), (0.2, 0.001)])
+def test_the_mass_reduction_stops_within_tol_only_between_atoms(tied):
+    # the outlier makes the tolerance 3e-3, so the 0.001-mass cell at
+    # tau = 1 alone is within it, but its atom, 0.201, is not: whatever
+    # the order of the tied cells, the atom is cut as the closed form cuts it
+    d = cell_table(tuple("abcd"), (0.5,) + tied + (0.299,), np.ones(4),
+                   tau=(0.0, 1.0, 1.0, 1e10))
+    report, trim = fixed_tau_internal_validity(d, 0.0)
+    assert (report.p_internal, trim.atom_fraction) == (0.5, 0.0)
+    assert fixed_tau_lp(d, 0.0) == reference_fixed_tau_lp(d, 0.0) == 0.5
+
+
 @st.composite
 def fixed_tau_programs(draw):
     """Designs of up to 300 cells and a mu0 anywhere in tau's range (its
@@ -656,12 +671,53 @@ class TestFixedTauBruteforce:
             assert fixed_tau_internal_validity(d, mu0)[0].p_internal == 0.0
 
     def test_mu0_just_outside_the_range_keeps_nothing(self):
-        # the 0.1-mass cell at tau = 3 passed the balance tolerance, while
-        # the hull test puts mu0 outside and the closed form keeps nothing
+        # the 0.1-mass cell at tau = 3 is 1e-11 out of balance, beyond the
+        # tolerance 1e-12 * (E|tau| + |mu0|) = 4.4e-12
         d = cell_table(("a", "b", "c"), (0.7, 0.2, 0.1), (1, 1, 1),
                        tau=(1, 2, 3))
-        assert not check_fixed_existence(d, 3 + 1e-11)
-        assert fixed_tau_bruteforce(d, 3 + 1e-11) == 0.0
+        report, _ = fixed_tau_internal_validity(d, 3 + 1e-10)
+        assert not check_fixed_existence(d, 3 + 1e-10)
+        assert not report.exists and report.p_internal == 0.0
+        assert fixed_tau_bruteforce(d, 3 + 1e-10) == 0.0
+        with pytest.raises(InfeasibleProgram):
+            fixed_tau_lp(d, 3 + 1e-10)
+
+    def test_mu0_within_the_tolerance_of_the_range_keeps_the_nearest_cell(
+            self):
+        # at 3 + 1e-11 the 0.1-mass cell is 1e-12 out of balance, within
+        # the tolerance 4.4e-12, so every solver keeps it whole
+        d = cell_table(("a", "b", "c"), (0.7, 0.2, 0.1), (1, 1, 1),
+                       tau=(1, 2, 3))
+        report, trim = fixed_tau_internal_validity(d, 3 + 1e-11)
+        assert check_fixed_existence(d, 3 + 1e-11) and report.exists
+        assert (report.p_internal, fixed_tau_lp(d, 3 + 1e-11),
+                fixed_tau_bruteforce(d, 3 + 1e-11)) \
+            == pytest.approx((0.1,) * 3, abs=1e-15)
+        assert (trim.direction, trim.atom_fraction) == ("below", 0.0)
+        assert report.inclusion.inclusion.tolist() == [0.0, 0.0, 1.0]
+
+    def test_subnormal_effects_keep_every_cell_in_every_solver(self):
+        # E0 rounds to 2.5e-323, below min tau = mu0, so the lower tail is
+        # trimmed, but no product t * q survives the rounding: no atom
+        # crosses the (zero) tolerance and the closed form keeps it all
+        d = cell_table(("a", "b", "c"), (0.4012738674803665,
+                                         0.5744678539698372,
+                                         0.024258278549796182),
+                       (1, 1, 1), tau=(3e-323, 3e-323, 7e-323))
+        report, trim = fixed_tau_internal_validity(d, 3e-323)
+        assert (report.p_internal, fixed_tau_lp(d, 3e-323),
+                fixed_tau_bruteforce(d, 3e-323)) == (1.0, 1.0, 1.0)
+        assert trim.e0 < 3e-323 and math.isnan(trim.alpha)
+
+    def test_an_interior_coordinate_that_overflows_is_clipped_quietly(self):
+        # mu0 an ulp below tau = 0 makes t = 5e-324 there, and a pattern's
+        # sum divided by it overflows; the clipped mass fails the balance
+        d = cell_table(tuple("abcde"), (0.16199075, 0.28493123, 0.36957017,
+                                        0.08369843, 0.09980942),
+                       np.ones(5), tau=(2.0, 2.0, 2.0, 3.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fixed_tau_bruteforce(d, -5e-324) == 0.09980942
 
     def test_instance_cap(self):
         k = 13
@@ -848,3 +904,123 @@ def test_an_outlier_without_mass_does_not_widen_the_balance_test():
     shares, _, trim = _given_tau_shares(design, -0.5)
     assert trim.direction == "above"
     assert shares == pytest.approx((0.2,) * 3, abs=1e-12)
+
+
+@st.composite
+def edge_programs(draw):
+    """Designs of up to 200 cells (12 or fewer half the time, so brute
+    force runs) with tau tied on an integer grid, normal or on dyadic
+    masses, scaled by 10^-15 to 10^15, half the time with an outlier 10^3
+    to 10^12 times larger, weights of either sign and w0 at 1 or not.
+    mu0 is unset (the estimand), at E0, at min or max tau, 1 to 4 ulps or
+    1e-13 * max|tau| beyond either end, at a tau value or in between."""
+    k = draw(st.integers(1, 12) | st.integers(13, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["ties", "normal", "dyadic"]))
+    tau = (rng.normal(0.0, 2.0, k) if shape == "normal"
+           else rng.integers(-3, 4, k).astype(float))
+    if draw(st.booleans()):
+        tau[int(rng.integers(k))] *= 10.0 ** draw(st.integers(3, 12))
+    tau *= 10.0 ** draw(st.integers(-15, 15))
+    if shape == "dyadic":
+        counts = rng.integers(1, 9, k)
+        total = 1 << int(counts.sum() - 1).bit_length()
+        counts[0] += total - counts.sum()
+        p = counts / total
+    else:
+        p = rng.uniform(0.01, 1.0, k)
+        p = p / p.sum()
+    w0 = np.where(rng.random(k) < 0.5, 1.0, rng.uniform(0.0, 1.0, k))
+    a = rng.uniform(0.05, 1.0, k)
+    if draw(st.booleans()):
+        a = a - 0.4
+    design = cell_table(tuple(map(str, range(k))), p, a, w0=w0, tau=tau)
+    values = validity._conditional_tau(design)[0]
+    lo, hi = float(values.min()), float(values.max())
+    where = draw(st.sampled_from(["mu", "e0", "lo", "hi", "tau", "between",
+                                  "ulps", "1e-13"]))
+    if where == "mu":
+        return design, None
+    if where == "e0":
+        return design, moment_summary(design).e0
+    if where in ("lo", "hi"):
+        return design, lo if where == "lo" else hi
+    if where == "tau":
+        return design, float(draw(st.sampled_from(values.tolist())))
+    if where == "between":
+        return design, lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    below = draw(st.booleans())
+    if where == "ulps":
+        mu0 = lo if below else hi
+        for _ in range(draw(st.integers(1, 4))):
+            mu0 = float(np.nextafter(mu0, -math.inf if below else math.inf))
+        return design, mu0
+    top = float(np.abs(values).max())
+    return design, lo - 1e-13 * top if below else hi + 1e-13 * top
+
+
+def _gamma(n):
+    """The bound n u / (1 - n u) on the relative error of n roundings."""
+    return n * 2.0**-53 / (1 - n * 2.0**-53)
+
+
+@settings(max_examples=400, deadline=None)
+@given(program=edge_programs())
+def test_given_tau_solvers_follow_the_exact_rational_rule(program):
+    """Every solver's share is the exact-rational share of the one rule up
+    to its sums' rounding, and exists == (share > 0) for each; mu, E0 and
+    the uniform share are their exact values up to n roundings.  A draw
+    whose exact sums lie within that rounding of the tolerance at a
+    decision can go either way; such draws are counted and skipped."""
+    design, mu0 = program
+    prog = validity._program(design, mu0)
+    k, g = len(prog.values), _gamma(4 * len(prog.values) + 16)
+    exact = exact_given_tau(prog.values, prog.q, prog.mu0, prog.tol)
+    size = float(exact.scale) + float(np.abs(prog.values) @ prog.q) + abs(
+        prog.mu0)
+    if exact.margin <= g * size:
+        event("an exact sum within rounding of the tolerance")
+        assume(False)
+    report, trim = fixed_tau_internal_validity(design, mu0)
+    try:
+        lp = fixed_tau_lp(design, mu0)
+    except InfeasibleProgram:
+        lp = None
+    shares = {"closed form": report.p_internal, "mass reduction": lp}
+    if k <= validity.BRUTE_FORCE_LIMIT:
+        shares["brute force"] = fixed_tau_bruteforce(design, mu0)
+    exists = exact.share > 0
+    assert report.exists is check_fixed_existence(design, mu0) is exists
+    assert (lp is not None) is exists
+    bound = g * (2 + (0 if exact.alpha is None
+                      else 2 * float(exact.scale / exact.alpha)))
+    for name, share in shares.items():
+        # brute force's vertices keep whole cells within tol in any
+        # combination, so it may reach up to the relaxed share
+        require_close(name, share or 0.0, exact.share, bound, above=(
+            exact.relaxed - exact.share if name == "brute force" else 0))
+        if (share or 0.0) > exact.share + bound:
+            event("brute force keeps whole cells past the rule")
+        assert (share or 0.0) > 0 if exists else share in (None, 0.0)
+    # mu, E0 and the uniform share, from the cells' exact products
+    n, tau = design.k, [Fraction(t) for t in design.tau]
+    m0 = [Fraction(w) * Fraction(p) for w, p in zip(design.w0, design.p)]
+    am = [Fraction(a) * m for a, m in zip(design.a, m0)]
+    if mu0 is None:  # mu = E[a w0 tau] / E[a w0]
+        want = sum(m * t for m, t in zip(am, tau)) / sum(am)
+        spread = sum(abs(m) * (abs(t) + abs(want)) for m, t in zip(am, tau))
+        require_close("mu", prog.mu0, want,
+                      _gamma(2 * n + 8) * float(spread / abs(sum(am))))
+    want = sum(m * t for m, t in zip(m0, tau)) / sum(m0)
+    spread = sum(m * abs(t) for m, t in zip(m0, tau)) / sum(m0)
+    require_close("E0", trim.e0, want, _gamma(2 * n + 8) * 2 * float(spread))
+    uniform = uniform_internal_validity(design)
+    a = normalize_sign(design).a
+    if uniform.exists:
+        a_max = max(Fraction(x) for x, m in zip(a, m0) if m > 0)
+        want = (sum(max(Fraction(x), Fraction(0)) * m for x, m in zip(a, m0))
+                / sum(m0) / a_max)
+        require_close("uniform share", uniform.p_internal, want,
+                      _gamma(2 * n + 8) * 2 * float(want))
+    else:
+        assert uniform.p_internal == 0.0
