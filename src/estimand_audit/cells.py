@@ -421,27 +421,24 @@ class _BadField(Exception):
     """(row index, error class, message) from a column parser."""
 
 
-def read_csv(path, columns, exact=False):
+def read_csv(path, columns):
     """{header name: parsed column} of a CSV file; leading ``#`` lines
     are skipped, fields stripped and blank rows dropped.
 
     `columns` maps the expected header to parsers ``parse(values, name)``,
     or is a function (path, header) -> such a map.  Short rows are padded
-    and long ones rejected, or with `exact` both are errors.  The bad
-    value on the earliest row (leftmost on a tie) is reported.  A plain
-    file is streamed in blocks by `_read_plain`; every other file, and
-    every error, is read whole by the csv module below."""
-    fast = _read_plain(path, columns)
-    if fast is not None:
-        return fast
+    with blank fields, and the first long row ends the table, so that the
+    error on the earliest row (the leftmost bad value on a tie) is the one
+    reported.  The file is opened, and its header parsed and `columns`
+    resolved, once.  After a plain header line the body of a seekable
+    file goes to `_read_plain`; the body it declines, and any other body,
+    is read whole by the csv module below, which raises every error."""
     try:
         with open(path, newline="") as fh:
             start = 0
-            for line in fh:
-                if not line.lstrip().startswith("#"):
-                    break
+            while (line := fh.readline()).lstrip().startswith("#"):
                 start += 1
-            else:
+            if not line:
                 raise SchemaError(f"{path}: no header row found")
             reader = csv.reader(itertools.chain([line], fh))
             header = [h.strip() for h in next(reader)]
@@ -450,6 +447,12 @@ def read_csv(path, columns, exact=False):
             elif header != list(columns):
                 raise SchemaError(f"{path}: expected header {','.join(columns)!r}, "
                                   f"got {','.join(header)!r}")
+            if _plain(line) and fh.seekable():  # csv read only `line`
+                body = fh.tell()
+                fast = _read_plain(fh, columns)
+                if fast is not None:
+                    return fast
+                fh.seek(body)
             rows = list(reader)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
@@ -458,7 +461,7 @@ def read_csv(path, columns, exact=False):
     # a blank row has a blank first field, so most files skip the row loop
     if not (all(map(width.__eq__, map(len, rows)))
             and all(v.strip() for v in {row[0] for row in rows})):
-        rows, lines, late = _tidy_rows(path, rows, lines, width, exact)
+        rows, lines, late = _tidy_rows(path, rows, lines, width)
     if not rows and late is None:
         raise SchemaError(f"{path}: no data rows")
     values = [[row[j] for row in rows] for j in range(width)]
@@ -487,103 +490,70 @@ def _plain(text):
                 or text.count("\r") != text.count("\r\n"))
 
 
-def _blocks(fh, size):
-    """The rest of `fh` in blocks of whole lines of about `size`
-    characters, or in one block if size < 0; the last block ends where
-    the file does, with or without a newline."""
-    carry = ""
-    for chunk in iter(functools.partial(fh.read, size), ""):
-        cut = chunk.rfind("\n") + 1 if size > 0 else 0
-        if cut:
-            yield carry + chunk[:cut]
-            carry = chunk[cut:]
-        else:  # a line longer than a block goes on
-            carry += chunk
-    if carry:
-        yield carry
-
-
-def _read_plain(path, columns):
-    """`read_csv` of a plain file through numpy's C tokenizer, or None.
+def _read_plain(fh, columns):
+    """The rest of `fh`, a CSV body, parsed by numpy's C tokenizer, or None.
 
     Columns whose parser `reads_floats` are parsed by `np.loadtxt`, which
     calls the same C routine as `float`; every other column goes to its
-    parser as text.  The exact reader decides every other file, so that
-    it alone raises: a file is declined on any error, a quote, a NUL, a
-    lone CR (`_plain`), no data rows (loadtxt would warn), a line over
-    the csv field limit or a wrong field count in a block.  Short and
-    blank rows fail in loadtxt or in the parsers, which reject a blank
-    float, 0/1 or adoption period, and every table has one.
+    parser as text.  `read_csv` reads every body declined here with the
+    csv module, so that it alone raises: a body is declined on any error,
+    a quote, a NUL, a lone CR (`_plain`), no data rows (loadtxt would
+    warn), a line over the csv field limit or a wrong field count in a
+    block.  Short and blank rows fail in loadtxt or in the parsers, which
+    reject a blank float, 0/1 or adoption period, and every table has one.
 
-    The file is streamed: the leading lines are read one at a time and
-    the body in blocks of whole lines of about `_BLOCK_CHARS`, each
-    checked, parsed and dropped; each column's blocks are joined at the
-    end, and a parsed text column keeps one string per distinct value.
-    So beyond the columns it returns, memory is bounded by a block.  A
-    parser that checks across rows (`whole_column`) is given the body in
-    one block."""
+    The body is streamed in blocks of whole lines, about `_BLOCK_CHARS`
+    characters and the rest of the line they end in, each checked, parsed
+    and dropped; each column's blocks are joined at the end, and a parsed
+    text column keeps one string per distinct value.  So beyond the
+    columns it returns, memory is bounded by a block.  A parser that
+    checks across rows (`whole_column`) is given the body in one block."""
     try:
-        with open(path, newline="") as fh:
-            while True:  # a file ending before the header's newline has no rows
-                line = fh.readline()
-                if not (_plain(line) and line.endswith("\n")):
-                    return None
-                if not line.lstrip().startswith("#"):
-                    break
-            header = [h.strip() for h in line[:-1].split(",")]
-            if callable(columns):
-                columns = columns(path, header)
-            elif header != list(columns):
+        kinds = [float if getattr(parse, "reads_floats", False) else object
+                 for parse in columns.values()]
+        dtype = list(zip(columns, kinds))
+        parts = {name: [] for name in columns}
+        memos = {name: {} for name in columns}
+        size = -1 if any(getattr(parse, "whole_column", False)
+                         for parse in columns.values()) else _BLOCK_CHARS
+        while block := fh.read(size) + fh.readline():
+            rows = block.split("\n")
+            if not rows[-1]:  # after the newline that ends the block
+                rows.pop()
+            if (not _plain(block)
+                    or block.count(",") != (len(columns) - 1) * len(rows)
+                    or max(map(len, rows)) > csv.field_size_limit()):
                 return None
-            kinds = [float if getattr(parse, "reads_floats", False) else object
-                     for parse in columns.values()]
-            dtype = list(zip(columns, kinds))
-            parts = {name: [] for name in columns}
-            memos = {name: {} for name in columns}
-            whole = any(getattr(parse, "whole_column", False)
-                        for parse in columns.values())
-            for block in _blocks(fh, -1 if whole else _BLOCK_CHARS):
-                rows = block.split("\n")
-                if not rows[-1]:  # after the newline that ends the block
-                    rows.pop()
-                if (not _plain(block)
-                        or block.count(",") != (len(columns) - 1) * len(rows)
-                        or max(map(len, rows)) > csv.field_size_limit()):
-                    return None
-                table = np.loadtxt(rows, dtype=dtype, delimiter=",",
-                                   comments=None, ndmin=1)
-                for (name, parse), kind in zip(columns.items(), kinds):
-                    column = (table[name].copy() if kind is float
-                              else parse(table[name].tolist(), name))
-                    if isinstance(column, list):  # one object per distinct value
-                        parts[name].extend(map(memos[name].setdefault, column,
-                                               column))
-                    else:
-                        parts[name].append(column)
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",",
+                               comments=None, ndmin=1)
+            for (name, parse), kind in zip(columns.items(), kinds):
+                column = (table[name].copy() if kind is float
+                          else parse(table[name].tolist(), name))
+                if isinstance(column, list):  # one object per distinct value
+                    parts[name].extend(map(memos[name].setdefault, column,
+                                           column))
+                else:
+                    parts[name].append(column)
         if not any(parts.values()):
             return None  # no data rows
         return {name: np.concatenate(part) if isinstance(part[0], np.ndarray)
                 else part for name, part in parts.items()}
-    except Exception:  # whatever this path cannot read, the exact reader reports
+    except Exception:  # whatever this path cannot read, the csv module reports
         return None
 
 
-def _tidy_rows(path, rows, lines, width, exact):
-    """Drop blank rows and fix field counts row by row.  With `exact`, the
-    first row of the wrong width ends the table and its error is returned,
-    so that bad values on earlier rows are reported first."""
+def _tidy_rows(path, rows, lines, width):
+    """Drop blank rows and pad short ones with blank fields.  The first
+    long row ends the table and its error is returned, so that bad values
+    on earlier rows are reported first."""
     kept, kept_lines = [], []
     for row, lineno in zip(rows, lines):
         if not any(f.strip() for f in row):
             continue
-        if len(row) != width:
-            if exact:
-                return kept, kept_lines, ParseError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-            if len(row) > width:
-                raise ParseError(f"{path}:{lineno}: too many fields")
-            row = row + [""] * (width - len(row))
-        kept.append(row)
+        if len(row) > width:
+            return kept, kept_lines, ParseError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+        kept.append(row + [""] * (width - len(row)))
         kept_lines.append(lineno)
     return kept, kept_lines, None
 

@@ -141,7 +141,7 @@ def _micro_columns(path, header):
 def load_micro(path):
     """Read a micro sample CSV; the instrument and outcome columns are
     optional but the column order x, d, z, y is fixed."""
-    columns = read_csv(path, _micro_columns, exact=True)
+    columns = read_csv(path, _micro_columns)
     return MicroSample._coded(*_factorize(columns["x"]),
                               *map(columns.get, "dzy"))
 
@@ -234,7 +234,7 @@ _outcome_col.reads_floats = True  # only float_col's error is rewritten
 
 def load_panel(path):
     """Read a wide-form panel CSV with header unit,g,y1,...,yT."""
-    units, g, *y = read_csv(path, _panel_columns, exact=True).values()
+    units, g, *y = read_csv(path, _panel_columns).values()
     return PanelData(tuple(units), g, np.column_stack(y))
 
 

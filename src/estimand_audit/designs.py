@@ -170,8 +170,10 @@ class GroupDistribution:
         return self.shares.get(math.inf, 0.0)
 
     def f_cum(self, t):
-        """P(G <= t), the treated share in period t."""
-        return sum(s for g, s in self.shares.items() if g <= t)
+        """P(G <= t), the treated share in period t, added left to right
+        (builtin `sum` compensates float sums from Python 3.12 on)."""
+        return functools.reduce(float.__add__, [
+            s for g, s in self.shares.items() if g <= t], 0.0)
 
     def e_d_given_g(self, g):
         """Time-average treatment E[D|G=g] = (T-g+1)/T, zero if never treated."""
@@ -179,7 +181,8 @@ class GroupDistribution:
 
     def e_d(self):
         """Overall treated share E[D] across groups and periods."""
-        return sum(self.f_cum(t) for t in range(1, self.t + 1)) / self.t
+        return functools.reduce(float.__add__, map(
+            self.f_cum, range(1, self.t + 1))) / self.t
 
     def to_csv(self, path):
         groups = sorted(self.shares, key=lambda g: (g is math.inf, g))

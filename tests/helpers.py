@@ -3,6 +3,8 @@ loop references and an exact-rational oracle of the given-tau program."""
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -143,8 +145,9 @@ def reference_twfe_h_design(gd):
         p.append(gd.shares[g])
         w0_g = gd.e_d_given_g(g)
         w0.append(w0_g)
-        pd0_after = 1.0 - sum(gd.f_cum(t) for t in range(g, gd.t + 1)) / (gd.t - g + 1)
-        pd1_before = sum(gd.f_cum(t) for t in range(1, g)) / (g - 1)
+        # added left to right, as Python before 3.12 sums floats
+        pd0_after = 1.0 - reduce(add, map(gd.f_cum, range(g, gd.t + 1))) / (gd.t - g + 1)
+        pd1_before = reduce(add, map(gd.f_cum, range(1, g))) / (g - 1)
         a.append((1.0 - w0_g) * (pd0_after + pd1_before))
         groups.append(g)
     if gd.never_share > 0:

@@ -12,11 +12,13 @@ decomposition formulas (worked independently before the implementation):
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from estimand_audit import designs
 from estimand_audit.cells import mu
 from estimand_audit.designs import (
     GroupDistribution,
@@ -40,6 +42,7 @@ from estimand_audit.errors import (
     ParseError,
 )
 
+from . import helpers
 from .helpers import (
     random_group_distribution,
     reference_twfe_cdh_design,
@@ -353,13 +356,43 @@ def group_distributions(draw):
                                  if keep[i] or weights[i] > 0})
 
 
-@pytest.mark.parametrize("build,reference", [
+TWFE_BUILDERS = pytest.mark.parametrize("build,reference", [
     (twfe_cdh_design, reference_twfe_cdh_design),
     (twfe_h_design, reference_twfe_h_design),
 ], ids=["cdh", "h"])
+
+
+@TWFE_BUILDERS
 @settings(max_examples=120, deadline=None)
 @given(gd=group_distributions())
 def test_twfe_builders_equal_the_loop_references(build, reference, gd):
+    assert_same_as_reference(build, reference, gd)
+
+
+def compensated_sum(values, start=0):
+    """Builtin `sum` as Python 3.12 and later add floats: Neumaier's
+    compensated summation."""
+    total, carry = start, 0.0
+    for x in values:
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry
+
+
+@TWFE_BUILDERS
+@settings(max_examples=120, deadline=None)
+@given(gd=group_distributions())
+def test_twfe_builders_equal_the_loop_references_whatever_sum_does(
+        build, reference, gd):
+    """The builders and their loop references add left to right, so a
+    compensated builtin `sum` changes no bit of either."""
+    with mock.patch.object(designs, "sum", compensated_sum, create=True), \
+            mock.patch.object(helpers, "sum", compensated_sum, create=True):
+        assert_same_as_reference(build, reference, gd)
+
+
+def assert_same_as_reference(build, reference, gd):
     try:
         expected = reference(gd)
     except NoTreatedGroups:
