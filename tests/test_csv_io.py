@@ -16,7 +16,6 @@ import io
 import math
 import os
 import struct
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -212,8 +211,8 @@ class TestReaders:
         path = tmp_path / "pipe.csv"
         os.mkfifo(path)
         text = r.text(with_value(r, 0, "x", label))
-        threading.Thread(target=path.write_text, args=(text,)).start()
-        with ThreadPoolExecutor(1) as pool:
+        with ThreadPoolExecutor(2) as pool:
+            pool.submit(path.write_text, text)
             read = pool.submit(r.read, path)
             try:
                 sample = read.result(timeout=10)

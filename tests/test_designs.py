@@ -356,19 +356,6 @@ def group_distributions(draw):
                                  if keep[i] or weights[i] > 0})
 
 
-TWFE_BUILDERS = pytest.mark.parametrize("build,reference", [
-    (twfe_cdh_design, reference_twfe_cdh_design),
-    (twfe_h_design, reference_twfe_h_design),
-], ids=["cdh", "h"])
-
-
-@TWFE_BUILDERS
-@settings(max_examples=120, deadline=None)
-@given(gd=group_distributions())
-def test_twfe_builders_equal_the_loop_references(build, reference, gd):
-    assert_same_as_reference(build, reference, gd)
-
-
 def compensated_sum(values, start=0):
     """Builtin `sum` as Python 3.12 and later add floats: Neumaier's
     compensated summation."""
@@ -380,31 +367,32 @@ def compensated_sum(values, start=0):
     return total + carry
 
 
-@TWFE_BUILDERS
+@pytest.mark.parametrize("build,reference", [
+    (twfe_cdh_design, reference_twfe_cdh_design),
+    (twfe_h_design, reference_twfe_h_design),
+], ids=["cdh", "h"])
 @settings(max_examples=120, deadline=None)
-@given(gd=group_distributions())
-def test_twfe_builders_equal_the_loop_references_whatever_sum_does(
-        build, reference, gd):
-    """The builders and their loop references add left to right, so a
-    compensated builtin `sum` changes no bit of either."""
-    with mock.patch.object(designs, "sum", compensated_sum, create=True), \
-            mock.patch.object(helpers, "sum", compensated_sum, create=True):
-        assert_same_as_reference(build, reference, gd)
-
-
-def assert_same_as_reference(build, reference, gd):
-    try:
-        expected = reference(gd)
-    except NoTreatedGroups:
-        with pytest.raises(NoTreatedGroups):
-            build(gd)
-        return
-    got = build(gd)
-    assert got.labels == expected.labels
-    for column in ("p", "a", "w0"):
-        assert np.array_equal(getattr(got, column), getattr(expected, column))
-    for attr in ("groups", "times"):
-        want = getattr(expected, attr)
-        assert getattr(got, attr) == want
-        if want is not None:
-            assert list(map(type, getattr(got, attr))) == list(map(type, want))
+@given(gd=group_distributions(), compensated=st.booleans())
+def test_twfe_builders_equal_the_loop_references(build, reference, gd,
+                                                 compensated):
+    """Bit for bit, also when builtin `sum` compensates float sums, as it
+    does from Python 3.12 on: the builders and the references add left
+    to right."""
+    summed = compensated_sum if compensated else sum
+    with mock.patch.object(designs, "sum", summed, create=True), \
+            mock.patch.object(helpers, "sum", summed, create=True):
+        try:
+            expected = reference(gd)
+        except NoTreatedGroups:
+            with pytest.raises(NoTreatedGroups):
+                build(gd)
+            return
+        got = build(gd)
+        assert got.labels == expected.labels
+        for column in ("p", "a", "w0"):
+            assert np.array_equal(getattr(got, column), getattr(expected, column))
+        for attr in ("groups", "times"):
+            want = getattr(expected, attr)
+            assert getattr(got, attr) == want
+            if want is not None:
+                assert list(map(type, getattr(got, attr))) == list(map(type, want))
