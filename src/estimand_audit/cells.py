@@ -429,10 +429,14 @@ def read_csv(path, columns):
     or is a function (path, header) -> such a map.  Short rows are padded
     with blank fields, and the first long row ends the table, so that the
     error on the earliest row (the leftmost bad value on a tie) is the one
-    reported.  The file is opened, and its header parsed and `columns`
-    resolved, once.  After a plain header line the body of a seekable
-    file goes to `_read_plain`; the body it declines, and any other body,
-    is read whole by the csv module below, which raises every error."""
+    reported, with the line it starts on.  The file is opened, and its
+    header parsed and `columns` resolved, once.  The body is then read in
+    blocks of whole lines, about `_BLOCK_CHARS` characters each (the whole
+    body if a parser checks across rows, `whole_column`), and each block
+    goes to `_numpy_block`.  The first block it declines and the rest of
+    the file are read by the csv module, which raises every error.  So
+    each line is tokenized once, a pipe is read as a file is, and until a
+    block is declined memory is bounded by a block beyond the columns."""
     try:
         with open(path, newline="") as fh:
             start = 0
@@ -447,29 +451,46 @@ def read_csv(path, columns):
             elif header != list(columns):
                 raise SchemaError(f"{path}: expected header {','.join(columns)!r}, "
                                   f"got {','.join(header)!r}")
-            if _plain(line) and fh.seekable():  # csv read only `line`
-                body = fh.tell()
-                fast = _read_plain(fh, columns)
-                if fast is not None:
-                    return fast
-                fh.seek(body)
+            parts = {name: [] for name in columns}
+            memos = {name: {} for name in columns}
+
+            def add(block):  # a text column keeps one str per distinct value
+                for name, column in block.items():
+                    if isinstance(column, list):
+                        parts[name].extend(map(memos[name].setdefault,
+                                               column, column))
+                    else:
+                        parts[name].append(column)
+
+            size = -1 if any(getattr(parse, "whole_column", False)
+                             for parse in columns.values()) else _BLOCK_CHARS
+            first = start + reader.line_num + 1  # the line `rows` starts on
+            while (rows := fh.readlines(size)) and (
+                    block := _numpy_block(rows, columns)) is not None:
+                add(block)
+                first += len(rows)
+            reader = csv.reader(itertools.chain(rows, fh))
             rows = list(reader)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    lines = range(first, first + len(rows))
+    if reader.line_num != len(rows):  # a record spans a line break it quotes
+        lines = list(itertools.accumulate((1 + sum(
+            f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+            for row in rows[:-1]), initial=first))
     width, late = len(header), None
-    lines = range(start + 2, start + 2 + len(rows))
     # a blank row has a blank first field, so most files skip the row loop
     if not (all(map(width.__eq__, map(len, rows)))
             and all(v.strip() for v in {row[0] for row in rows})):
         rows, lines, late = _tidy_rows(path, rows, lines, width)
-    if not rows and late is None:
+    if not rows and late is None and not any(parts.values()):
         raise SchemaError(f"{path}: no data rows")
     values = [[row[j] for row in rows] for j in range(width)]
     del rows
-    out, bad = {}, None
+    bad = None
     for j, (name, parse) in enumerate(columns.items()):
         try:
-            out[name] = parse(values[j], name)
+            add({name: parse(values[j], name)})
         except _BadField as err:
             bad = err.args if bad is None or err.args[0] < bad[0] else bad
         values[j] = None
@@ -477,7 +498,8 @@ def read_csv(path, columns):
         raise bad[1](f"line {lines[bad[0]]}: {bad[2]}")
     if late is not None:
         raise late
-    return out
+    return {name: np.concatenate(part) if isinstance(part[0], np.ndarray)
+            else part for name, part in parts.items()}
 
 
 _BLOCK_CHARS = 1 << 18  # about how much of a CSV body is read at a time
@@ -490,54 +512,31 @@ def _plain(text):
                 or text.count("\r") != text.count("\r\n"))
 
 
-def _read_plain(fh, columns):
-    """The rest of `fh`, a CSV body, parsed by numpy's C tokenizer, or None.
+def _numpy_block(rows, columns):
+    """{name: column} of `rows`, whole lines of a CSV body, parsed by
+    numpy's C tokenizer, or None.
 
     Columns whose parser `reads_floats` are parsed by `np.loadtxt`, which
     calls the same C routine as `float`; every other column goes to its
-    parser as text.  `read_csv` reads every body declined here with the
-    csv module, so that it alone raises: a body is declined on any error,
-    a quote, a NUL, a lone CR (`_plain`), no data rows (loadtxt would
-    warn), a line over the csv field limit or a wrong field count in a
-    block.  Short and blank rows fail in loadtxt or in the parsers, which
-    reject a blank float, 0/1 or adoption period, and every table has one.
-
-    The body is streamed in blocks of whole lines, about `_BLOCK_CHARS`
-    characters and the rest of the line they end in, each checked, parsed
-    and dropped; each column's blocks are joined at the end, and a parsed
-    text column keeps one string per distinct value.  So beyond the
-    columns it returns, memory is bounded by a block.  A parser that
-    checks across rows (`whole_column`) is given the body in one block."""
+    parser as text.  `read_csv` reads every block declined here, and the
+    rest of the file, with the csv module, so that it alone raises: a
+    block is declined on any error, a quote, a NUL, a lone CR (`_plain`),
+    a line over the csv field limit or a wrong field count.  Short and
+    blank rows fail in loadtxt or in the parsers, which reject a blank
+    float, 0/1 or adoption period, and every table has one."""
     try:
-        kinds = [float if getattr(parse, "reads_floats", False) else object
-                 for parse in columns.values()]
-        dtype = list(zip(columns, kinds))
-        parts = {name: [] for name in columns}
-        memos = {name: {} for name in columns}
-        size = -1 if any(getattr(parse, "whole_column", False)
-                         for parse in columns.values()) else _BLOCK_CHARS
-        while block := fh.read(size) + fh.readline():
-            rows = block.split("\n")
-            if not rows[-1]:  # after the newline that ends the block
-                rows.pop()
-            if (not _plain(block)
-                    or block.count(",") != (len(columns) - 1) * len(rows)
-                    or max(map(len, rows)) > csv.field_size_limit()):
-                return None
-            table = np.loadtxt(rows, dtype=dtype, delimiter=",",
-                               comments=None, ndmin=1)
-            for (name, parse), kind in zip(columns.items(), kinds):
-                column = (table[name].copy() if kind is float
-                          else parse(table[name].tolist(), name))
-                if isinstance(column, list):  # one object per distinct value
-                    parts[name].extend(map(memos[name].setdefault, column,
-                                           column))
-                else:
-                    parts[name].append(column)
-        if not any(parts.values()):
-            return None  # no data rows
-        return {name: np.concatenate(part) if isinstance(part[0], np.ndarray)
-                else part for name, part in parts.items()}
+        text = "".join(rows)
+        if (not _plain(text)
+                or text.count(",") != (len(columns) - 1) * len(rows)
+                or max(map(len, rows)) > csv.field_size_limit()):
+            return None
+        dtype = [(name, float if getattr(parse, "reads_floats", False)
+                  else object) for name, parse in columns.items()]
+        table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
+                           ndmin=1)
+        return {name: table[name].copy() if kind is float
+                else parse(table[name].tolist(), name)
+                for (name, kind), parse in zip(dtype, columns.values())}
     except Exception:  # whatever this path cannot read, the csv module reports
         return None
 
@@ -545,7 +544,8 @@ def _read_plain(fh, columns):
 def _tidy_rows(path, rows, lines, width):
     """Drop blank rows and pad short ones with blank fields.  The first
     long row ends the table and its error is returned, so that bad values
-    on earlier rows are reported first."""
+    on earlier rows are reported first.  `lines` holds the line each row
+    starts on."""
     kept, kept_lines = [], []
     for row, lineno in zip(rows, lines):
         if not any(f.strip() for f in row):

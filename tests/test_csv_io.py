@@ -3,14 +3,15 @@
 Each of the six readers is run on the same kinds of malformed and
 unusual input: bad values (reported with their line), wrong field
 counts, quoted labels, CRLF line endings and padded fields.  After the
-header, a plain body is parsed by numpy's C reader and every other body
-by the csv module, the exact reader; the differential tests check that
-the two never disagree.  The writer tests pin the exact bytes each
-`to_csv` produces on seeded inputs.
+header, each plain block of lines is parsed by numpy's C reader, and the
+first other block and the rest of the file by the csv module, the exact
+reader; the differential tests check that the two never disagree.  The
+writer tests pin the exact bytes each `to_csv` produces on seeded inputs.
 """
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import math
@@ -119,6 +120,14 @@ def with_value(reader, row, col, value, rows=None):
     return rows
 
 
+def broken_first_field(rows):
+    """`rows` with the first field of the first one quoted around a line
+    break, which stripping drops: the row spans two lines."""
+    rows = [list(row) for row in rows]
+    rows[0][0] = '"%s\n"' % rows[0][0]
+    return rows
+
+
 def error_at(line, col):
     return rf"line {line}: (bad {col} value|{col} must be)"
 
@@ -129,15 +138,20 @@ class TestReaders:
         r = READERS[name]
         read(tmp_path, r, r.text())
 
-    @pytest.mark.parametrize("blank", [False, True])
+    # before the bad row: a blank line (True), or a first row whose
+    # first field is quoted and holds a line break ("break")
+    @pytest.mark.parametrize("blank", [False, True, "break"])
     @pytest.mark.parametrize("comments", [0, 2])
     @pytest.mark.parametrize("name,col", CASES)
     def test_bad_value_names_its_line(self, tmp_path, name, col, comments,
                                       blank):
         r = READERS[name]
-        text = r.text(with_value(r, 1, col, "abc"), comments=comments,
-                      blank_before=1 if blank else None)
-        line = comments + 3 + int(blank)
+        rows = with_value(r, 1, col, "abc")
+        if blank == "break":
+            rows = broken_first_field(rows)
+        text = r.text(rows, comments=comments,
+                      blank_before=1 if blank is True else None)
+        line = comments + 3 + bool(blank)
         with pytest.raises(ParseError, match=error_at(line, col)):
             read(tmp_path, r, text)
 
@@ -154,9 +168,11 @@ class TestReaders:
         rows = [list(row) for row in r.rows]
         rows[1].append("1")
         width = len(r.header)
-        want = "line 3: expected %d fields, got %d" % (width, width + 1)
-        with pytest.raises(ParseError, match=want):
-            read(tmp_path, r, r.text(rows))
+        for line, body in (3, rows), (4, broken_first_field(rows)):
+            want = "line %d: expected %d fields, got %d" % (line, width,
+                                                           width + 1)
+            with pytest.raises(ParseError, match=want):
+                read(tmp_path, r, r.text(body))
 
     @pytest.mark.parametrize("name", READERS)
     def test_short_rows_are_padded(self, tmp_path, name):
@@ -243,12 +259,28 @@ class TestReaders:
         assert snapshot(read(tmp_path, r, r.text(rows))) == snapshot(
             read(tmp_path, r, r.text()))
 
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.text(st.sampled_from('a\n\r", '), max_size=6),
+                           min_size=1, max_size=8),
+           eol=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_bad_value_names_the_line_its_row_starts_on(self, tmp_path_factory,
+                                                        labels, eol):
+        # the csv module's own count of the lines before the bad row
+        text = eol.join(["x,d,y"] + ['"%s",1,0.5' % label.replace('"', '""')
+                                     for label in labels]) + eol
+        reader = csv.reader(io.StringIO(text, newline=""))
+        assert len(list(reader)) == 1 + len(labels)
+        path = write(tmp_path_factory.mktemp("csv"), text + "b,1,abc" + eol)
+        with pytest.raises(ParseError, match=error_at(reader.line_num + 1, "y")):
+            load_micro(path)
+
 
 # ---------------------------------------------------------------------------
 # the numpy fast path against the exact reader
 # ---------------------------------------------------------------------------
 
-READ_PLAIN = cells._read_plain
+NUMPY_BLOCK = cells._numpy_block
+CSV_READER = csv.reader
 
 
 def bitwise(value):
@@ -269,20 +301,22 @@ def bitwise(value):
 
 
 def outcome(read, path, fast=True):
-    """(columns the fast path was given, what it returned, the bitwise
-    table or the (class, message) of the error `read(path)` gave)."""
-    seen = [None, None]
+    """(the columns `_numpy_block` was given, whether it took every block
+    of a nonempty body, the bitwise table or the (class, message) of the
+    error `read(path)` gave)."""
+    blocks = []
 
-    def read_plain(fh, columns):
-        seen[:] = columns, READ_PLAIN(fh, columns) if fast else None
-        return seen[1]
+    def numpy_block(rows, columns):
+        blocks.append((columns, NUMPY_BLOCK(rows, columns) if fast else None))
+        return blocks[-1][1]
 
-    with mock.patch.object(cells, "_read_plain", read_plain):
+    with mock.patch.object(cells, "_numpy_block", numpy_block):
         try:
             result = bitwise(read(path))
         except Exception as exc:
             result = type(exc), str(exc)
-    return seen[0], seen[1], result
+    took = bool(blocks) and all(block is not None for _, block in blocks)
+    return blocks[0][0] if blocks else None, took, result
 
 
 def write(tmp_path, data):
@@ -292,15 +326,16 @@ def write(tmp_path, data):
 
 
 def assert_same_as_exact(reader, path):
-    """The public reader gives the exact reader's table or error, and a
-    table the fast path read is bitwise the exact reader's columns."""
-    columns, fast, got = outcome(reader.read, path)
+    """The public reader gives the exact reader's table or error, and
+    `read_csv` gives the exact reader's columns bitwise, however many
+    blocks numpy took.  Returns those columns if numpy took every block."""
+    columns, took, got = outcome(reader.read, path)
     assert got == outcome(reader.read, path, fast=False)[2]
-    if fast is not None:
-        with mock.patch.object(cells, "_read_plain", lambda fh, columns: None):
-            exact = cells.read_csv(path, columns)
-        assert bitwise(fast) == bitwise(exact)
-    return fast
+    if columns is None:
+        return None
+    read = functools.partial(cells.read_csv, columns=columns)
+    assert outcome(read, path)[2] == outcome(read, path, fast=False)[2]
+    return read(path) if took else None
 
 
 PLAIN = {"text": ["a", "b", "c1", "1", "2.5"], "binary": ["0", "1"],
@@ -571,16 +606,34 @@ class TestFastPathInSmallBlocks(TestFastPath):
         with mock.patch.object(cells, "_BLOCK_CHARS", SMALL_BLOCK):
             yield
 
-    def test_declined_body_is_read_from_its_first_row(self, tmp_path):
-        # the first blocks are plain and parsed; a quoted label in a later
-        # one declines the body, which the csv module reads from its start
+    def test_each_line_is_tokenized_once(self, tmp_path):
+        # the first blocks are plain and go to numpy; a quoted label in a
+        # later one declines it, and the csv module reads from that block on
         r = READERS["micro"]
         rows = list(r.rows) * 8
         rows[12] = ('"q"', "1", "0", "0.5")
-        path = write(tmp_path, r.text(rows, comments=3))
-        assert assert_same_as_exact(r, path) is None
-        sample = r.read(path)
+        text = r.text(rows, comments=3)
+        lines = text.splitlines(keepends=True)
+        blocks, tokenized = [], []
+
+        def numpy_block(rows, columns):
+            blocks.append((rows, NUMPY_BLOCK(rows, columns)))
+            return blocks[-1][1]
+
+        def csv_reader(lines):
+            return CSV_READER(tokenized.append(line) or line for line in lines)
+
+        path = write(tmp_path, text)
+        with mock.patch.object(cells, "_numpy_block", numpy_block), \
+                mock.patch.object(csv, "reader", csv_reader):
+            sample = r.read(path)
+        *taken, (declined, none) = blocks
+        assert all(block is not None for _, block in taken) and none is None
+        body = [line for rows, _ in blocks for line in rows]
+        assert body == lines[4:4 + len(body)] and lines[4 + 12] in declined
+        assert tokenized == [lines[3]] + lines[4 + len(body) - len(declined):]
         assert sample.n == len(rows) and "q" in sample.labels
+        assert assert_same_as_exact(r, path) is None
         rows[20] = ("a", "1", "0", "abc")
         path = write(tmp_path, r.text(rows, comments=3))
         assert assert_same_as_exact(r, path) is None

@@ -1,16 +1,21 @@
 """Memory of the micro-data path.
 
-The CSV writer, the plain-file reader, the estimator and the bootstrap
-hold a bounded block of Python objects beyond the arrays they return or
+The CSV writer, the reader (of a plain file, of one whose last block
+has a quoted label, and of a pipe), the estimator and the bootstrap hold
+a bounded block of Python objects beyond the arrays they return or
 evaluate whole.  Each test takes the tracemalloc peak of one call at two
 sizes and bounds how much it grows by a small multiple of how much those
 arrays grow.  A string kept per row, about 50 bytes a row or more,
 exceeds every bound; so do the file's text and a str array of labels.
 """
 
+import os
+import shutil
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from estimand_audit.data_io import DgpSpec, load_micro, load_panel, simulate
@@ -70,15 +75,52 @@ def micro_files(tmp_path_factory, samples):
     return paths
 
 
+def late_quoted(path):
+    """A copy of a sample file whose last label is quoted, so that its
+    last block goes to the csv module."""
+    copy = path.with_name("late_" + path.name)
+    text = path.read_bytes().decode()
+    last = text.rindex("\n", 0, -1) + 1
+    copy.write_bytes((text[:last] + '"' + text[last:].replace(",", '",', 1))
+                     .encode())
+    return copy
+
+
+def piped(path):
+    """load_micro of `path` through a named pipe that another thread
+    writes in small chunks."""
+    pipe = path.with_name("pipe_" + path.name)
+    os.mkfifo(pipe)
+
+    def feed():
+        with open(path, "rb") as src, open(pipe, "wb") as dst:
+            shutil.copyfileobj(src, dst, 1 << 16)
+
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            fed = pool.submit(feed)
+            try:
+                return load_micro(pipe)
+            finally:
+                fed.result(timeout=60)
+    finally:
+        os.remove(pipe)
+
+
 def test_reader_holds_a_block(samples, micro_files):
+    inputs = [(load_micro, micro_files),
+              (load_micro, [late_quoted(p) for p in micro_files])]
+    if hasattr(os, "mkfifo"):
+        inputs.append((piped, micro_files))
     small, large = samples.values()
-    (back, low), (_, high) = (traced_peak(lambda: load_micro(p))
-                              for p in micro_files)
-    assert back.codes.itemsize == 1  # 50 labels
-    # a reference per row to its label (8 B) and the outcome's blocks as
-    # they are joined (8 B) are about 1.7 times a row of the arrays
-    # returned (11 B): the 1-B code, d, z and the 8-B outcome
-    assert high - low <= 2.25 * (nbytes(large) - nbytes(small))
+    for read, paths in inputs:
+        (back, low), (_, high) = (traced_peak(lambda: read(p)) for p in paths)
+        assert back.codes.itemsize == 1  # 50 labels
+        assert np.array_equal(back.codes, small.codes)
+        # a reference per row to its label (8 B) and the outcome's blocks
+        # as they are joined (8 B) are about 1.7 times a row of the arrays
+        # returned (11 B): the 1-B code, d, z and the 8-B outcome
+        assert high - low <= 2.25 * (nbytes(large) - nbytes(small))
 
 
 def test_estimator_holds_an_index_per_row(samples):
