@@ -19,6 +19,7 @@ order.  Both vanish asymptotically, so nothing is trimmed in the limit.
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -76,14 +77,18 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.b) != self.b or self.b < 1:
-            raise ValueError("b must be a positive integer")
+        for name, least in (("b", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError("%s must be a whole number >= %d, got %r"
+                                 % (name, least, getattr(self, name)))
+            _store(self, **{name: int(value)})
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not (0 < self.c0 < math.inf and 0 < self.xi0 < math.inf):
             raise ValueError("c0 and xi0 must be finite and positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
     def c_n(self, n):
         """Trimming threshold at sample size `n`."""

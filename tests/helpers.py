@@ -256,3 +256,129 @@ def require_close(what, got, want, bound, above=0):
     if not -Fraction(bound) <= miss <= Fraction(above) + Fraction(bound):
         raise AssertionError(f"{what} = {got!r} is {float(miss)!r} from the "
                              f"exact {float(want)!r}, beyond {bound!r}")
+
+
+# ---------------------------------------------------------------------------
+# loop reference of the bootstrap: `inference.bootstrap_ci` with its count
+# maps, `psi_apply` and `np.quantile` as they were before their per-call
+# overhead was cut, kept to pin the new code's bits
+# ---------------------------------------------------------------------------
+
+
+def reference_propensity_columns(joint, n):
+    """Counts ``(..., k, 2)`` by treatment -> cell masses and ``p``,
+    from sums over the arm axis."""
+    rows = joint.sum(axis=-1)
+    px = joint[..., 1] / np.maximum(rows, 1.0)
+    return rows / n, {"p": np.where((joint > 0).all(axis=-1), px, np.nan)}
+
+
+def reference_instrument_columns(joint, n):
+    """Counts ``(..., k, 2, 2)`` by (z, d) -> cell masses and the
+    IvCellTable columns, from sums over the arm axes."""
+    nz = joint.sum(axis=-1)
+    rows = nz.sum(axis=-1)
+    safe_rows = np.maximum(rows, 1.0)
+    pz = nz[..., 1] / safe_rows
+    d_tot = joint[..., :, 1].sum(axis=-1)
+    cov = joint[..., 1, 1] / safe_rows - (d_tot / safe_rows) * pz
+    pd1 = joint[..., 1, 1] / np.maximum(nz[..., 1], 1.0)
+    pd0 = joint[..., 0, 1] / np.maximum(nz[..., 0], 1.0)
+    pc = np.clip(pd1 - pd0, 0.0, 1.0)
+    seen = rows > 0
+    return rows / n, {"pz": np.where(seen, pz, np.nan),
+                      "cov_dz": np.where(seen, cov, np.nan),
+                      "pc": np.where((nz > 0).all(axis=-1), pc, np.nan)}
+
+
+def reference_theta(joint, n, family):
+    """`inference._theta` from the reference count maps."""
+    from estimand_audit.designs import ESTIMAND_FAMILIES, PropensityTable
+
+    fam = ESTIMAND_FAMILIES[family]
+    columns = (reference_propensity_columns if fam.primitive is PropensityTable
+               else reference_instrument_columns)
+    p, cols = columns(np.asarray(joint, dtype=float), n)
+    a, w0 = fam.weights(**cols)
+    return p, a, w0, ~np.isnan(a), ~np.isnan(w0)
+
+
+def reference_psi_apply(lf, z):
+    """`inference.psi_apply` on a batch ``(m, 3, k)``, rows split by
+    `np.moveaxis`."""
+    za, zw, zp = np.moveaxis(z, -2, 0)
+    kink = za[..., list(lf.psi_set)].max(axis=-1)
+    return za @ lf.coef_a - lf.coef_max * kink + zw @ lf.coef_w0 + zp @ lf.coef_p
+
+
+def reference_bootstrap_ci(sample, family, cfg):
+    """`inference.bootstrap_ci` with stacked, gathered blocks and
+    `np.quantile`; the estimate and its derivative come from the package."""
+    import math
+
+    from estimand_audit import inference
+    from estimand_audit.cells import clip_share, rng_stream
+    from estimand_audit.errors import ResampleDegenerate
+
+    ed = inference.estimate_design(sample, family)
+    keep, p_hat, lf = inference._plug_in(ed, cfg)
+    n = ed.n
+    c = cfg.c_n(n)
+    d = ed.design
+    theta0 = np.stack((d.a, d.w0, d.p))
+    in_psi = np.zeros(d.k, dtype=bool)
+    in_psi[list(lf.psi_set)] = True
+
+    rng = rng_stream(cfg.seed, "bootstrap", family)
+    pvals = ed.joint.ravel() / n
+    root_n = math.sqrt(n)
+
+    draws = np.empty(cfg.b)
+    pending = np.arange(cfg.b)
+    fallback = 0
+    redraws = 0
+    unstable = 0
+    step = max(1, inference._BLOCK_COUNTS // pvals.size)
+    for _ in range(inference._MAX_REDRAW_ROUNDS):
+        m = pending.shape[0]
+        z = np.empty((m, 3, d.k))
+        good = np.empty(m, dtype=bool)
+        filled = 0
+        for lo in range(0, m, step):
+            size = min(step, m - lo)
+            cnt = rng.multinomial(n, pvals, size=size).reshape(
+                (size,) + ed.joint.shape)
+            p, a, w0, ok_a, ok_w0 = reference_theta(cnt, n, family)
+            a = np.where(ok_a, a, d.a)
+            w0 = np.where(ok_w0, w0, d.w0)
+            untrimmed = w0 > c
+            ok = untrimmed.any(axis=1)
+            good[lo:lo + size] = ok
+            count = int(ok.sum())
+            z[filled:filled + count] = root_n * (
+                np.stack((a, w0, p), axis=1)[ok] - theta0)
+            filled += count
+            fallback += int((~ok_a[ok]).sum() + (~ok_w0[ok]).sum())
+            masked = np.where(untrimmed[ok], a[ok], -np.inf)
+            unstable += int((~in_psi[masked.argmax(axis=1)]).sum())
+        draws[pending[good]] = reference_psi_apply(lf, z[:filled])
+        redraws += m - filled
+        pending = pending[~good]
+        if pending.shape[0] == 0:
+            break
+    else:
+        raise ResampleDegenerate(
+            "resampling kept losing every untrimmed cell after %d rounds"
+            % inference._MAX_REDRAW_ROUNDS
+        )
+
+    q_alpha = float(np.quantile(draws, cfg.alpha))
+    upper = clip_share(p_hat - q_alpha / root_n)
+    diagnostics = {
+        "trimmed_cells": [d.labels[i] for i in np.flatnonzero(~keep)],
+        "fallback_coordinates": fallback,
+        "degenerate_redraws": redraws,
+        "max_cell_instability": unstable / cfg.b,
+    }
+    return inference.BootstrapResult(p_hat=p_hat, draws=draws, q_alpha=q_alpha,
+                                     ci=(0.0, upper), diagnostics=diagnostics)

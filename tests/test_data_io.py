@@ -108,6 +108,41 @@ class TestLoadMicro:
         assert s.x.tolist() == want[inverse].tolist()
 
 
+class TestBinaryColumns:
+    """`d` and `z` accept 0/1 in any numeric dtype and reject the rest."""
+
+    @pytest.mark.parametrize("role", ["d", "z"])
+    @pytest.mark.parametrize("values", [
+        np.array([0, 1], np.int8), np.array([1, 0], np.int64),
+        np.array([True, False]), np.array([0.0, 1.0]), np.array([-0.0, 1.0]),
+        np.array([1, 0], np.uint8), np.array([0, 1], dtype=object), [1, 0],
+    ], ids=["int8", "int64", "bool", "float", "negative zero", "uint8",
+            "object", "list"])
+    def test_accepted_as_an_int8_copy(self, role, values):
+        columns = {"d": [0, 1], role: values}
+        s = MicroSample(x=["a", "b"], **columns)
+        got = getattr(s, role)
+        assert got.dtype == np.int8
+        assert got.tolist() == [int(v) for v in values]
+        assert not isinstance(values, np.ndarray) or values.flags.writeable
+
+    @pytest.mark.parametrize("role,message", [
+        ("d", "treatment values must be 0 or 1"),
+        ("z", "instrument values must be 0 or 1"),
+    ])
+    @pytest.mark.parametrize("values", [
+        [0, 2], [-1, 1], [0.5, 1.0], [np.nan, 0.0], [np.inf, 1.0],
+        [-np.inf, 0.0], np.array(["0", "1"]), np.array([b"0", b"1"]),
+        np.array(["0", 1], dtype=object), np.array([None, 1], dtype=object),
+        np.array([0, 2**64 - 1], dtype=np.uint64),
+    ], ids=["two", "minus one", "half", "nan", "inf", "-inf", "str", "bytes",
+            "object str", "None", "uint64 max"])
+    def test_rejected(self, role, message, values):
+        columns = {"d": [0, 1], role: values}
+        with pytest.raises(SchemaError, match="^%s$" % message):
+            MicroSample(x=["a", "b"], **columns)
+
+
 class TestLoadPanel:
     def test_basic(self, tmp_path):
         p = write(

@@ -1,18 +1,29 @@
 """Tests for plug-in estimation of the maximal-subpopulation share, the
 limit functional, and the directional bootstrap."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from estimand_audit import inference
 from estimand_audit.data_io import DgpSpec, MicroSample, simulate
+from estimand_audit.cells import cell_table
 from estimand_audit.errors import (
     AllCellsTrimmed,
+    AuditError,
+    DegenerateWeights,
     DimensionMismatch,
     EmptyCellArm,
+    ResampleDegenerate,
     SchemaError,
 )
 from estimand_audit.inference import (
+    ESTIMABLE,
     BootstrapConfig,
+    EstimatedDesign,
     bootstrap_ci,
     estimate_design,
     estimate_uniform_validity,
@@ -20,6 +31,13 @@ from estimand_audit.inference import (
     psi_hat_build,
 )
 from estimand_audit.validity import uniform_internal_validity
+
+from .helpers import (
+    reference_bootstrap_ci,
+    reference_instrument_columns,
+    reference_propensity_columns,
+    reference_theta,
+)
 
 
 def exact_sample(counts_by_cell):
@@ -137,6 +155,13 @@ class TestEstimateUniformValidity:
         })
         ed = estimate_design(s, "iv")  # w0 = 0.1 < c_n at n=20
         with pytest.raises(AllCellsTrimmed):
+            estimate_uniform_validity(ed, CFG)
+
+    def test_no_positive_untrimmed_weight(self):
+        design = cell_table(["a", "b"], [0.5, 0.5], [-1.0, 0.0])
+        ed = EstimatedDesign(design=design, counts=[5, 5],
+                             joint=[[2, 3], [2, 3]], n=10, family="ols_ate")
+        with pytest.raises(DegenerateWeights, match="not positive"):
             estimate_uniform_validity(ed, CFG)
 
     def test_raw_estimate_can_exceed_one(self):
@@ -301,6 +326,18 @@ class TestBootstrapCi:
         assert payload["ci"]["hi"] == pytest.approx(res.ci[1])
         assert payload["n_draws"] == CFG.b
 
+    def test_replicates_that_always_trim_every_cell(self, monkeypatch):
+        # every replicate puts the only cell's w0 = P(D=1) at 0.01, below
+        # c_n = 0.5 * 100**(-1/3); redraws cannot help
+        class Stuck:
+            def multinomial(self, n, pvals, size):
+                return np.tile([99, 1], (size, 1))
+
+        monkeypatch.setattr(inference, "rng_stream", lambda *key: Stuck())
+        s = exact_sample({"a": (80, 20)})
+        with pytest.raises(ResampleDegenerate, match="after 50 rounds"):
+            bootstrap_ci(s, "ols_att", CFG)
+
 
 class TestBootstrapConfig:
     def test_validation(self):
@@ -320,6 +357,27 @@ class TestBootstrapConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             BootstrapConfig(seed=-1)
+
+    @pytest.mark.parametrize("field", ["b", "seed"])
+    @pytest.mark.parametrize("value", [20.0, np.float64(20.0), np.int64(20)],
+                             ids=["float", "float64", "int64"])
+    def test_whole_numbers_become_int(self, field, value):
+        cfg = BootstrapConfig(**{field: value})
+        assert type(getattr(cfg, field)) is int
+        assert getattr(cfg, field) == 20
+
+    @pytest.mark.parametrize("field", ["b", "seed"])
+    @pytest.mark.parametrize("value", [1.5, float("nan"), float("inf"), "3",
+                                       3 + 0j, None])
+    def test_other_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BootstrapConfig(**{field: value})
+
+    def test_float_b_and_seed_run_as_ints(self):
+        s = benchmark_sample()
+        got = bootstrap_ci(s, "ols_ate", BootstrapConfig(b=20.0, seed=3.0))
+        want = bootstrap_ci(s, "ols_ate", BootstrapConfig(b=20, seed=3))
+        assert got.draws.tobytes() == want.draws.tobytes()
 
     def test_rates(self):
         cfg = BootstrapConfig()
@@ -341,3 +399,126 @@ def test_broken_estimate_invariant_raises_without_assert(monkeypatch):
     monkeypatch.setattr(inference, "_theta", broken)
     with pytest.raises(InvariantViolation):
         estimate_design(benchmark_sample(), "ols_ate")
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the loop reference of the bootstrap
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_count_maps_equal_the_axis_sums(data):
+    """Values and NaN positions, bit for bit, with empty cells and arms
+    and leading batch axes."""
+    iv = data.draw(st.booleans(), label="iv")
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
+    shape += (data.draw(st.integers(1, 4), label="k"),) + (2,) * (1 + iv)
+    counts = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 2)
+                                  | st.integers(0, 10**6)), label="counts")
+    n = data.draw(st.integers(1, 10**7), label="n")
+    got_p, got = (inference._instrument_columns if iv
+                  else inference._propensity_columns)(counts.astype(float), n)
+    want_p, want = (reference_instrument_columns if iv
+                    else reference_propensity_columns)(counts.astype(float), n)
+    assert got.keys() == want.keys()
+    for g, w in [(got_p, want_p)] + [(got[c], want[c]) for c in want]:
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def same_bootstrap(sample, family, cfg, block=inference._BLOCK_COUNTS):
+    """Run `bootstrap_ci` and the reference with `block` counts drawn at a
+    time; both raise the same error, or agree bit for bit.  Returns the
+    result, or None after an error."""
+    with mock.patch.object(inference, "_BLOCK_COUNTS", block):
+        try:
+            want = reference_bootstrap_ci(sample, family, cfg)
+        except AuditError as exc:
+            with pytest.raises(type(exc)) as got:
+                bootstrap_ci(sample, family, cfg)
+            assert str(got.value) == str(exc)
+            return None
+        got = bootstrap_ci(sample, family, cfg)
+    assert got.draws.tobytes() == want.draws.tobytes()
+    for field in ("p_hat", "q_alpha", "ci", "diagnostics"):
+        assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+    ed = estimate_design(sample, family)
+    d = ed.design
+    for column, ref in zip((d.p, d.a, d.w0), reference_theta(ed.joint, ed.n, family)):
+        assert column.tobytes() == ref.tobytes()
+    return got
+
+
+def single_cell_att():
+    # w0 = P(D=1) = 0.1 sits just above c_n = 0.09 at n = 100, so about a
+    # third of the replicates trim the only cell and are redrawn
+    return exact_sample({"a": (90, 10)}), BootstrapConfig(
+        b=60, seed=5, c0=0.09 * 100 ** (1 / 3))
+
+
+class TestBootstrapMatchesTheReference:
+    def test_one_replicate(self):
+        res = same_bootstrap(benchmark_sample(), "ols_ate",
+                             BootstrapConfig(b=1, seed=2))
+        assert res.draws.shape == (1,)
+
+    @pytest.mark.parametrize("family", ["ols_ate", "tsls"])
+    def test_replicates_beyond_a_whole_number_of_blocks(self, family):
+        # 7 replicates a block for 2 cells and one arm, 3 for two arms
+        s = exact_iv_sample({
+            "a": {(0, 0): 30, (0, 1): 10, (1, 0): 5, (1, 1): 35},
+            "b": {(0, 0): 20, (0, 1): 20, (1, 0): 10, (1, 1): 30},
+        })
+        same_bootstrap(s, family, BootstrapConfig(b=37, seed=1), block=31)
+
+    @pytest.mark.parametrize("family", ESTIMABLE)
+    def test_replicates_that_lose_an_arm(self, family):
+        s = exact_iv_sample({
+            "a": {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 3},
+            "b": {(0, 0): 20, (0, 1): 5, (1, 0): 4, (1, 1): 21},
+        })
+        res = same_bootstrap(s, family, BootstrapConfig(b=200, seed=7))
+        assert res.diagnostics["fallback_coordinates"] > 0
+
+    def test_trimmed_cells(self):
+        s = exact_sample({"a": (238, 12), "b": (125, 125), "c": (100, 25)})
+        res = same_bootstrap(s, "ols_att", CFG)
+        assert res.diagnostics["trimmed_cells"] == ["a"]
+
+    @pytest.mark.parametrize("block", [inference._BLOCK_COUNTS, 10])
+    def test_redraw_rounds(self, block):
+        s, cfg = single_cell_att()
+        res = same_bootstrap(s, "ols_att", cfg, block=block)
+        assert res.diagnostics["degenerate_redraws"] > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_generated_samples(self, data):
+        family = data.draw(st.sampled_from(ESTIMABLE), label="family")
+        arms = [(z, d) for z in (0, 1) for d in (0, 1)]
+        if family.startswith("ols"):
+            arms = [(0, d) for d in (0, 1)]
+        count = st.integers(1, 4) | st.integers(0, 40)
+        cells = data.draw(st.lists(st.tuples(*[count] * len(arms)),
+                                   min_size=1, max_size=4), label="cells")
+        s = exact_iv_sample({"c%d" % i: dict(zip(arms, row))
+                             for i, row in enumerate(cells)})
+        assume(s.n > 0)
+        if family.startswith("ols"):
+            s = MicroSample(s.x, s.d)
+        cfg = BootstrapConfig(
+            b=data.draw(st.just(1) | st.integers(2, 300), label="b"),
+            alpha=data.draw(st.floats(0.01, 0.99), label="alpha"),
+            c0=data.draw(st.floats(0.05, 3.0), label="c0"),
+            xi0=data.draw(st.floats(0.05, 3.0), label="xi0"),
+            seed=data.draw(st.integers(0, 2**32), label="seed"))
+        block = data.draw(st.sampled_from([inference._BLOCK_COUNTS, 1, 17, 64]),
+                          label="block")
+        res = same_bootstrap(s, family, cfg, block)
+        if res is None:
+            event("an error")
+            return
+        for name, value in res.diagnostics.items():
+            if value:
+                event(name)
