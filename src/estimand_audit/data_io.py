@@ -94,12 +94,13 @@ class MicroSample:
         d = np.asarray(d)
         if d.shape != codes.shape:
             raise SchemaError("x and d must be matching vectors")
-        if not np.isin(d, (0, 1)).all():
+        # the comparisons np.isin(d, (0, 1)) makes, without its sort
+        if not np.logical_or(d == 0, d == 1).all():
             raise SchemaError("treatment values must be 0 or 1")
         d = d.astype(np.int8)
         if z is not None:
             z = np.asarray(z)
-            if z.shape != codes.shape or not np.isin(z, (0, 1)).all():
+            if z.shape != codes.shape or not np.logical_or(z == 0, z == 1).all():
                 raise SchemaError("instrument values must be 0 or 1")
             z = z.astype(np.int8)
         if y is not None:

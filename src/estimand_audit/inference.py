@@ -77,8 +77,7 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("b", 1), ("seed", 0)):
-            value = getattr(self, name)
+        for name, least, value in (("b", 1, self.b), ("seed", 0, self.seed)):
             if isinstance(value, float) and value.is_integer():
                 value = int(value)
             if not isinstance(value, numbers.Integral) or value < least:
@@ -186,10 +185,12 @@ class BootstrapResult:
 
 def _propensity_columns(joint, n):
     """Counts ``(..., k, 2)`` by treatment -> cell masses and the
-    PropensityTable column ``p`` = P(D=1|X)."""
-    rows = joint.sum(axis=-1)
-    px = joint[..., 1] / np.maximum(rows, 1.0)
-    return rows / n, {"p": np.where((joint > 0).all(axis=-1), px, np.nan)}
+    PropensityTable column ``p`` = P(D=1|X).  Arms are indexed and added,
+    not reduced; whole counts add exactly."""
+    d0, d1 = joint[..., 0], joint[..., 1]
+    rows = d0 + d1
+    px = d1 / np.maximum(rows, 1.0)
+    return rows / n, {"p": np.where((d0 > 0) & (d1 > 0), px, np.nan)}
 
 
 def _instrument_columns(joint, n):
@@ -197,19 +198,20 @@ def _instrument_columns(joint, n):
     IvCellTable columns.  The complier share is the first-stage
     difference ``P(D=1|Z=1) - P(D=1|Z=0)``, clipped at zero when sampling
     noise turns it negative."""
-    nz = joint.sum(axis=-1)
-    rows = nz.sum(axis=-1)
+    z0d1, z1d1 = joint[..., 0, 1], joint[..., 1, 1]
+    z0 = joint[..., 0, 0] + z0d1
+    z1 = joint[..., 1, 0] + z1d1
+    rows = z0 + z1
     safe_rows = np.maximum(rows, 1.0)
-    pz = nz[..., 1] / safe_rows
-    d_tot = joint[..., :, 1].sum(axis=-1)
-    cov = joint[..., 1, 1] / safe_rows - (d_tot / safe_rows) * pz
-    pd1 = joint[..., 1, 1] / np.maximum(nz[..., 1], 1.0)
-    pd0 = joint[..., 0, 1] / np.maximum(nz[..., 0], 1.0)
-    pc = np.clip(pd1 - pd0, 0.0, 1.0)
+    pz = z1 / safe_rows
+    cov = z1d1 / safe_rows - ((z0d1 + z1d1) / safe_rows) * pz
+    pd1 = z1d1 / np.maximum(z1, 1.0)
+    pd0 = z0d1 / np.maximum(z0, 1.0)
+    pc = np.minimum(np.maximum(pd1 - pd0, 0.0), 1.0)
     seen = rows > 0
     return rows / n, {"pz": np.where(seen, pz, np.nan),
                       "cov_dz": np.where(seen, cov, np.nan),
-                      "pc": np.where((nz > 0).all(axis=-1), pc, np.nan)}
+                      "pc": np.where((z0 > 0) & (z1 > 0), pc, np.nan)}
 
 
 # Primitive tables that micro data estimate: the sample columns whose
@@ -286,8 +288,9 @@ def estimate_design(sample, family):
     joint = np.bincount(cell, minlength=k * 2 ** len(arms)).reshape(
         (k,) + (2,) * len(arms))
     # both values of the first arm must occur in every cell
-    bad = np.flatnonzero((joint.reshape(k, 2, -1).sum(axis=-1) == 0).any(axis=-1))
-    if bad.size:
+    seen = joint.reshape(k, 2, -1).any(axis=2)
+    if not seen.all():
+        bad = np.flatnonzero(~seen.all(axis=1))
         raise EmptyCellArm("cell %r has rows for only one %s arm" % (
             str(labels[bad[0]]), "instrument" if arms[0] == "z" else "treatment"))
     p, a, w0, ok_a, ok_w0 = _theta(joint, n, family)
@@ -314,8 +317,8 @@ def _plug_in(ed, cfg):
     a_max = float(d.a[keep].max())
     if a_max <= 0.0:
         raise DegenerateWeights("largest untrimmed weight is not positive")
-    num = float(np.sum(d.p * d.a * d.w0))
-    den = float(np.sum(d.p * d.w0))
+    num = float((d.p * d.a * d.w0).sum())
+    den = float((d.p * d.w0).sum())
     e_a = num / den
     scale = den * a_max
     lf = LimitFunctional(
@@ -379,10 +382,26 @@ def psi_apply(lf, z):
             "expected a perturbation of shape (3, %d) or (m, 3, %d), got %s"
             % (lf.k, lf.k, z.shape)
         )
-    za, zw, zp = np.moveaxis(z, -2, 0)
+    za, zw, zp = z[..., 0, :], z[..., 1, :], z[..., 2, :]
     kink = za[..., list(lf.psi_set)].max(axis=-1)
     value = za @ lf.coef_a - lf.coef_max * kink + zw @ lf.coef_w0 + zp @ lf.coef_p
     return float(value) if z.ndim == 2 else value
+
+
+def _quantile(draws, alpha):
+    """``float(np.quantile(draws, alpha))``: one partition on numpy's own
+    kth set, so tied -0.0 and 0.0 land where they land there, and its
+    linear interpolation.  One draw, or a non-float alpha, goes to numpy."""
+    b = draws.shape[0]
+    if b == 1 or type(alpha) is not float:
+        return float(np.quantile(draws, alpha))
+    v = (b - 1) * alpha
+    i = int(v)
+    part = np.partition(draws, sorted({-1, 0, i, i + 1}))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    lo, hi, t = part[i], part[i + 1], v - i
+    return float(hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t)
 
 
 def bootstrap_ci(sample, family, cfg):
@@ -414,7 +433,6 @@ def bootstrap_ci(sample, family, cfg):
     n = ed.n
     c = cfg.c_n(n)
     d = ed.design
-    theta0 = np.stack((d.a, d.w0, d.p))
     in_psi = np.zeros(d.k, dtype=bool)
     in_psi[list(lf.psi_set)] = True
 
@@ -446,25 +464,33 @@ def bootstrap_ci(sample, family, cfg):
             untrimmed = w0 > c
             ok = untrimmed.any(axis=1)
             good[lo:lo + size] = ok
-            count = int(ok.sum())
-            z[filled:filled + count] = root_n * (
-                np.stack((a, w0, p), axis=1)[ok] - theta0)
+            count = int(np.count_nonzero(ok))
+            if count < size:
+                p, a, w0, ok_a, ok_w0, untrimmed = (
+                    v[ok] for v in (p, a, w0, ok_a, ok_w0, untrimmed))
+            out = z[filled:filled + count]
+            np.subtract(a, d.a, out=out[:, 0])
+            np.subtract(w0, d.w0, out=out[:, 1])
+            np.subtract(p, d.p, out=out[:, 2])
+            out *= root_n
             filled += count
-            fallback += int((~ok_a[ok]).sum() + (~ok_w0[ok]).sum())
-            masked = np.where(untrimmed[ok], a[ok], -np.inf)
-            unstable += int((~in_psi[masked.argmax(axis=1)]).sum())
+            fallback += 2 * ok_a.size - int(np.count_nonzero(ok_a)
+                                            + np.count_nonzero(ok_w0))
+            masked = np.where(untrimmed, a, -np.inf)
+            unstable += count - int(np.count_nonzero(in_psi[masked.argmax(axis=1)]))
+        if filled == m:
+            draws[pending] = psi_apply(lf, z)
+            break
         draws[pending[good]] = psi_apply(lf, z[:filled])
         redraws += m - filled
         pending = pending[~good]
-        if pending.shape[0] == 0:
-            break
     else:
         raise ResampleDegenerate(
             "resampling kept losing every untrimmed cell after %d rounds"
             % _MAX_REDRAW_ROUNDS
         )
 
-    q_alpha = float(np.quantile(draws, cfg.alpha))
+    q_alpha = _quantile(draws, cfg.alpha)
     upper = clip_share(p_hat - q_alpha / root_n)
     diagnostics = {
         "trimmed_cells": [d.labels[i] for i in np.flatnonzero(~keep)],

@@ -406,6 +406,27 @@ def test_broken_estimate_invariant_raises_without_assert(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf,
+                        5e-324])
+
+
+@settings(max_examples=400, deadline=None)
+@given(draws=st.lists(TIES | st.floats(), min_size=1, max_size=40)
+       | hnp.arrays(float, st.integers(1, 1200), elements=TIES | st.floats(-2, 2)),
+       alpha=st.floats(0, 1, exclude_min=True, exclude_max=True)
+       | st.sampled_from([0.05, 0.5, 0.95]))
+def test_quantile_is_numpys_bit_for_bit(draws, alpha):
+    """Ties, both zeros, NaN, one draw and any alpha in (0, 1).  Which
+    of inf - inf and the like warn may differ; the values may not."""
+    draws = np.asarray(draws, dtype=float)
+    before = draws.tobytes()
+    with np.errstate(all="ignore"):
+        got = inference._quantile(draws, alpha)
+        want = float(np.quantile(draws, alpha))
+    assert draws.tobytes() == before
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_count_maps_equal_the_axis_sums(data):
