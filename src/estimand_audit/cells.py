@@ -19,6 +19,7 @@ import functools
 import io
 import itertools
 import math
+import numbers
 import os
 import zlib
 from dataclasses import dataclass, replace
@@ -95,6 +96,15 @@ def _store(obj, **fields):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
+
+
+def _whole(value, least):
+    """`value` as an int when it is a whole number >= `least`, a float such
+    as 20.0 included; otherwise None."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    whole = isinstance(value, numbers.Integral) and value >= least
+    return int(value) if whole else None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ the implied population design exactly for oracle comparisons.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .cells import (
     _as_float_array,
     _BadField,
     _store,
+    _whole,
     Coded,
     binary_col,
     float_col,
@@ -316,13 +316,11 @@ class DgpSpec:
             raise InvalidSpec(str(exc)) from None
         if self.noise_scale < 0:
             raise InvalidSpec("noise_scale must be nonnegative")
-        seed = self.seed
-        if isinstance(seed, float) and seed.is_integer():
-            seed = int(seed)
-        if not isinstance(seed, numbers.Integral) or seed < 0:
+        seed = _whole(self.seed, 0)
+        if seed is None:
             raise InvalidSpec(f"seed must be a nonnegative whole number, "
                               f"got {self.seed!r}")
-        _store(self, seed=int(seed))
+        _store(self, seed=seed)
         for c in self.cells if self.family == "iv" else ():
             if c.pa < 0 or c.pc + c.pa > 1:
                 raise InvalidSpec(f"cell {c.label!r}: invalid strata shares")
@@ -440,7 +438,11 @@ def simulate(spec, n, seed=None):
     mass = np.asarray([c.mass for c in spec.cells])
     tau = np.asarray([c.tau for c in spec.cells], dtype=float)
     base = np.asarray([c.baseline for c in spec.cells], dtype=float)
-    idx = rng.choice(len(mass), size=n, p=mass)
+    # rng.choice(len(mass), size=n, p=mass) without its checks of p,
+    # which DgpSpec has made: the same cdf, uniforms and search
+    cdf = mass.cumsum()
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(n), side="right")
     noise = rng.standard_normal(n)
     noise *= spec.noise_scale
     d, z = _treatment(spec, idx, rng)

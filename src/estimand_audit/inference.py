@@ -19,11 +19,10 @@ order.  Both vanish asymptotically, so nothing is trimmed in the limit.
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
-from .cells import CellTable, _store, cell_table, clip_share, rng_stream
+from .cells import CellTable, _store, _whole, cell_table, clip_share, rng_stream
 from .designs import ESTIMAND_FAMILIES, IvCellTable, PropensityTable
 from .errors import (
     AllCellsTrimmed,
@@ -77,17 +76,17 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least, value in (("b", 1, self.b), ("seed", 0, self.seed)):
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError("%s must be a whole number >= %d, got %r"
-                                 % (name, least, getattr(self, name)))
-            _store(self, **{name: int(value)})
+        b, seed = _whole(self.b, 1), _whole(self.seed, 0)
+        if b is None:
+            raise ValueError("b must be a positive whole number, got %r" % (self.b,))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not (0 < self.c0 < math.inf and 0 < self.xi0 < math.inf):
             raise ValueError("c0 and xi0 must be finite and positive")
+        if seed is None:
+            raise ValueError("seed must be a nonnegative whole number, got %r"
+                             % (self.seed,))
+        _store(self, b=b, seed=seed)
 
     def c_n(self, n):
         """Trimming threshold at sample size `n`."""

@@ -28,7 +28,7 @@ from estimand_audit.designs import (
     ols_ate_design,
     twfe_h_design,
 )
-from estimand_audit.cells import CellTable
+from estimand_audit.cells import CellTable, rng_stream
 from estimand_audit.errors import (
     InvalidSpec,
     NoTreatedGroups,
@@ -476,6 +476,18 @@ class TestLockIns:
 
 
 class TestSimulate:
+    @settings(max_examples=60, deadline=None)
+    @given(masses=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+           n=st.integers(1, 500), seed=st.integers(0, 2**32))
+    def test_cells_are_drawn_as_rng_choice_draws_them(self, masses, n, seed):
+        mass = np.asarray(masses) / sum(masses)
+        spec = DgpSpec(family="unconfoundedness", seed=seed, cells=tuple(
+            data_io.CellSpec(label="c%02d" % i, mass=m, p=0.5)
+            for i, m in enumerate(mass.tolist())))
+        rng = rng_stream(seed, "simulate", "unconfoundedness")
+        want = rng.choice(len(mass), size=n, p=np.asarray(mass.tolist()))
+        assert simulate(spec, n).x.tolist() == ["c%02d" % i for i in want]
+
     def test_unconfoundedness_frequencies(self):
         spec = benchmark_spec(seed=5)
         s = simulate(spec, 100_000)
