@@ -9,8 +9,8 @@ from hypothesis import assume, event, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from estimand_audit import inference
-from estimand_audit.data_io import DgpSpec, MicroSample, simulate
 from estimand_audit.cells import cell_table
+from estimand_audit.data_io import DgpSpec, MicroSample, simulate
 from estimand_audit.errors import (
     AllCellsTrimmed,
     AuditError,
