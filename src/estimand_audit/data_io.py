@@ -435,7 +435,7 @@ def simulate(spec, n, seed=None):
                      "simulate", spec.family)
     if spec.family == "staggered_did":
         return _simulate_panel(spec, n, rng)
-    mass = np.asarray([c.mass for c in spec.cells])
+    mass = np.asarray([c.mass for c in spec.cells], dtype=float)
     tau = np.asarray([c.tau for c in spec.cells], dtype=float)
     base = np.asarray([c.baseline for c in spec.cells], dtype=float)
     # rng.choice(len(mass), size=n, p=mass) without its checks of p,

@@ -488,6 +488,11 @@ class TestSimulate:
         want = rng.choice(len(mass), size=n, p=np.asarray(mass.tolist()))
         assert simulate(spec, n).x.tolist() == ["c%02d" % i for i in want]
 
+    def test_whole_number_masses(self):
+        spec = DgpSpec(family="unconfoundedness", cells=(
+            data_io.CellSpec(label="a", mass=1, p=0.5),))
+        assert simulate(spec, 5).x.tolist() == ["a"] * 5
+
     def test_unconfoundedness_frequencies(self):
         spec = benchmark_spec(seed=5)
         s = simulate(spec, 100_000)
