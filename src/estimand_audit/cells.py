@@ -161,6 +161,8 @@ class CellTable:
             x = np.asarray(x, dtype=float)
             if x.ndim not in (1, 2) or x.shape[0] != k:
                 raise InvalidDesign("numeric labels must be (K,) or (K, d)")
+            if not np.isfinite(x).all():
+                raise InvalidDesign("numeric labels must be finite")
         _store(self, labels=labels, p=p, a=a, w0=w0, tau=tau, x=x)
 
     # -- basic derived quantities -------------------------------------
@@ -241,10 +243,8 @@ class CellTable:
             x = [c["x"] for c in cells] if all("x" in c for c in cells) else None
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed design payload: {exc}") from exc
-        if x is None:
-            x = _infer_numeric_labels(labels)
-        else:
-            x = np.squeeze(np.asarray(x, dtype=float))
+        x = _infer_numeric_labels(labels) if x is None else np.squeeze(
+            np.asarray(x, dtype=float))
         return cls(labels, p, a, w0, tau, x)
 
 
@@ -252,10 +252,8 @@ def cell_table(labels, p, a, w0=None, tau=None, x=None):
     """Convenience constructor; w0 defaults to 1 in every cell and numeric
     labels are inferred from the label strings when x is not given."""
     labels = tuple(labels)
-    if w0 is None:
-        w0 = np.ones(len(labels))
-    if x is None:
-        x = _infer_numeric_labels(labels)
+    w0 = np.ones(len(labels)) if w0 is None else w0
+    x = _infer_numeric_labels(labels) if x is None else x
     return CellTable(labels, p, a, w0, tau, x)
 
 
@@ -431,6 +429,9 @@ class _BadField(Exception):
     """(row index, error class, message) from a column parser."""
 
 
+_BLOCK_FIELDS = 1 << 15  # values read, written or resampled at a time
+
+
 def read_csv(path, columns):
     """{header name: parsed column} of a CSV file; leading ``#`` lines
     are skipped, fields stripped and blank rows dropped.
@@ -441,12 +442,12 @@ def read_csv(path, columns):
     error on the earliest row (the leftmost bad value on a tie) is the one
     reported, with the line it starts on.  The file is opened, and its
     header parsed and `columns` resolved, once.  The body is then read in
-    blocks of whole lines, about `_BLOCK_CHARS` characters each (the whole
-    body if a parser checks across rows, `whole_column`), and each block
-    goes to `_numpy_block`.  The first block it declines and the rest of
-    the file are read by the csv module, which raises every error.  So
-    each line is tokenized once, a pipe is read as a file is, and until a
-    block is declined memory is bounded by a block beyond the columns."""
+    blocks of about `_BLOCK_FIELDS` fields (the whole body if a parser
+    checks across rows, `whole_column`).  Each block of lines goes to
+    `_numpy_block`; from the first one it declines on, each block of the
+    csv module's records goes to `_tidy_rows` and the parsers, which
+    raise every error.  So each line is tokenized once, a pipe is read as
+    a file is, and memory is bounded by a block beyond the columns."""
     try:
         with open(path, newline="") as fh:
             start = 0
@@ -472,47 +473,44 @@ def read_csv(path, columns):
                     else:
                         parts[name].append(column)
 
-            size = -1 if any(getattr(parse, "whole_column", False)
-                             for parse in columns.values()) else _BLOCK_CHARS
+            width = len(header)
+            step = None if any(getattr(parse, "whole_column", False) for parse
+                               in columns.values()) else max(1, _BLOCK_FIELDS // width)
             first = start + reader.line_num + 1  # the line `rows` starts on
-            while (rows := fh.readlines(size)) and (
+            while (rows := list(itertools.islice(fh, step))) and (
                     block := _numpy_block(rows, columns)) is not None:
                 add(block)
                 first += len(rows)
-            reader = csv.reader(itertools.chain(rows, fh))
-            rows = list(reader)
+            reader, base, late = csv.reader(itertools.chain(rows, fh)), first, None
+            while late is None and (rows := list(itertools.islice(reader, step))):
+                lines, first = range(first, first + len(rows)), base + reader.line_num
+                if lines.stop != first:  # a record spans a line break it quotes
+                    lines = list(itertools.accumulate((1 + sum(
+                        f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+                        for row in rows[:-1]), initial=lines.start))
+                # a blank row has a blank first field, so most blocks skip the row loop
+                if not (all(map(width.__eq__, map(len, rows)))
+                        and all(v.strip() for v in {row[0] for row in rows})):
+                    rows, lines, late = _tidy_rows(path, rows, lines, width)
+                if not rows:
+                    continue
+                values, bad = [[row[j] for row in rows] for j in range(width)], None
+                for j, (name, parse) in enumerate(columns.items()):
+                    try:
+                        add({name: parse(values[j], name)})
+                    except _BadField as err:
+                        bad = err.args if bad is None or err.args[0] < bad[0] else bad
+                    values[j] = None
+                if bad is not None:
+                    raise bad[1](f"line {lines[bad[0]]}: {bad[2]}")
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    lines = range(first, first + len(rows))
-    if reader.line_num != len(rows):  # a record spans a line break it quotes
-        lines = list(itertools.accumulate((1 + sum(
-            f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
-            for row in rows[:-1]), initial=first))
-    width, late = len(header), None
-    # a blank row has a blank first field, so most files skip the row loop
-    if not (all(map(width.__eq__, map(len, rows)))
-            and all(v.strip() for v in {row[0] for row in rows})):
-        rows, lines, late = _tidy_rows(path, rows, lines, width)
-    if not rows and late is None and not any(parts.values()):
-        raise SchemaError(f"{path}: no data rows")
-    values = [[row[j] for row in rows] for j in range(width)]
-    del rows
-    bad = None
-    for j, (name, parse) in enumerate(columns.items()):
-        try:
-            add({name: parse(values[j], name)})
-        except _BadField as err:
-            bad = err.args if bad is None or err.args[0] < bad[0] else bad
-        values[j] = None
-    if bad is not None:
-        raise bad[1](f"line {lines[bad[0]]}: {bad[2]}")
     if late is not None:
         raise late
+    if not any(parts.values()):
+        raise SchemaError(f"{path}: no data rows")
     return {name: np.concatenate(part) if isinstance(part[0], np.ndarray)
             else part for name, part in parts.items()}
-
-
-_BLOCK_CHARS = 1 << 18  # about how much of a CSV body is read at a time
 
 
 def _plain(text):
@@ -528,12 +526,12 @@ def _numpy_block(rows, columns):
 
     Columns whose parser `reads_floats` are parsed by `np.loadtxt`, which
     calls the same C routine as `float`; every other column goes to its
-    parser as text.  `read_csv` reads every block declined here, and the
-    rest of the file, with the csv module, so that it alone raises: a
-    block is declined on any error, a quote, a NUL, a lone CR (`_plain`),
-    a line over the csv field limit or a wrong field count.  Short and
-    blank rows fail in loadtxt or in the parsers, which reject a blank
-    float, 0/1 or adoption period, and every table has one."""
+    parser as text.  A block is declined on any error, a quote, a NUL, a
+    lone CR (`_plain`), a line over the csv field limit or a wrong field
+    count; `read_csv` reads it and every later block with the csv module,
+    so that it alone raises.  Short and blank rows fail in loadtxt or in
+    the parsers, which reject a blank float, 0/1 or adoption period, and
+    every table has one."""
     try:
         text = "".join(rows)
         if (not _plain(text)
@@ -630,7 +628,6 @@ class Coded:
         return self.fields[self.codes[rows]].tolist()
 
 
-_BLOCK_FIELDS = 1 << 15  # fields formatted at a time by `write_csv`
 _BIT_FIELDS = ("0", "1")
 
 
@@ -685,16 +682,11 @@ def open_atomic(path, newline=None):
 
 
 def _infer_numeric_labels(labels):
-    """Numeric labels when every label parses as a float (or a ';'-separated
-    float vector of common length); otherwise None."""
-    try:
-        return np.asarray([float(l) for l in labels])
-    except ValueError:
-        pass
-    try:
-        vecs = [[float(part) for part in str(l).split(";")] for l in labels]
+    """Numeric labels when every label parses as a finite float, or as a
+    ';'-separated vector of them of common length; otherwise None."""
+    try:  # a label that is no number, or vectors of two lengths, fail
+        x = np.asarray([[float(v) for v in str(l).split(";")] for l in labels])
     except ValueError:
         return None
-    if len({len(v) for v in vecs}) != 1 or len(vecs[0]) < 2:
-        return None
-    return np.asarray(vecs)
+    x = x[:, 0] if x.shape[1:] == (1,) else x
+    return x if np.isfinite(x).all() else None

@@ -16,6 +16,7 @@ the implied population design exactly for oracle comparisons.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,18 +92,13 @@ class MicroSample:
         return sample
 
     def _set(self, labels, codes, d, z, y):
-        d = np.asarray(d)
-        if d.shape != codes.shape:
+        if np.shape(d) != codes.shape:
             raise SchemaError("x and d must be matching vectors")
-        # the comparisons np.isin(d, (0, 1)) makes, without its sort
-        if not np.logical_or(d == 0, d == 1).all():
-            raise SchemaError("treatment values must be 0 or 1")
-        d = d.astype(np.int8)
+        if not codes.size:
+            raise SchemaError("a sample needs at least one row")
+        d = _bits(d, codes.shape, "treatment values must be 0 or 1")
         if z is not None:
-            z = np.asarray(z)
-            if z.shape != codes.shape or not np.logical_or(z == 0, z == 1).all():
-                raise SchemaError("instrument values must be 0 or 1")
-            z = z.astype(np.int8)
+            z = _bits(z, codes.shape, "instrument values must be 0 or 1")
         if y is not None:
             y = np.asarray(y, dtype=float)
             if y.shape != codes.shape:
@@ -127,6 +123,18 @@ class MicroSample:
         write_csv(path, {"x": Coded(self.labels, self.codes), **{
             name: v for name, v in (("d", self.d), ("z", self.z), ("y", self.y))
             if v is not None}})
+
+
+def _bits(values, shape, message):
+    """`values` as int8: a bool, integer or real float array of `shape`
+    (in an object array, of real numbers) whose values are 0 or 1."""
+    v = np.asarray(values)
+    real = v.dtype.kind in "biuf" or v.dtype.kind == "O" and all(
+        isinstance(i, numbers.Real) for i in v.flat)
+    # the comparisons np.isin(v, (0, 1)) makes, without its sort
+    if v.shape != shape or not real or not np.logical_or(v == 0, v == 1).all():
+        raise SchemaError(message)
+    return v.astype(np.int8)
 
 
 _MICRO_COLUMNS = {"x": text_col, "d": binary_col, "z": binary_col, "y": float_col}

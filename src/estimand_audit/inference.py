@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .cells import CellTable, _store, _whole, cell_table, clip_share, rng_stream
+from .cells import (CellTable, _BLOCK_FIELDS, _store, _whole, cell_table,
+                    clip_share, rng_stream)
 from .designs import ESTIMAND_FAMILIES, IvCellTable, PropensityTable
 from .errors import (
     AllCellsTrimmed,
@@ -49,7 +50,6 @@ __all__ = [
 ]
 
 _MAX_REDRAW_ROUNDS = 50
-_BLOCK_COUNTS = 1 << 16  # replicate cell counts drawn and evaluated at a time
 
 
 @dataclasses.dataclass(frozen=True)
@@ -444,7 +444,7 @@ def bootstrap_ci(sample, family, cfg):
     fallback = 0
     redraws = 0
     unstable = 0
-    step = max(1, _BLOCK_COUNTS // pvals.size)
+    step = max(1, _BLOCK_FIELDS // pvals.size)
     for _ in range(_MAX_REDRAW_ROUNDS):
         m = pending.shape[0]
         # the good replicates' perturbations, filled block by block and

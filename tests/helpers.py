@@ -338,7 +338,7 @@ def reference_bootstrap_ci(sample, family, cfg):
     fallback = 0
     redraws = 0
     unstable = 0
-    step = max(1, inference._BLOCK_COUNTS // pvals.size)
+    step = max(1, inference._BLOCK_FIELDS // pvals.size)
     for _ in range(inference._MAX_REDRAW_ROUNDS):
         m = pending.shape[0]
         z = np.empty((m, 3, d.k))

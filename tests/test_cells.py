@@ -58,6 +58,29 @@ class TestCellTableValidation:
         d = cell_table(("0", "1"), p=(0.5, 0.5), a=(1.0, 2.0), x=(0.0, 1.0))
         assert d.x is not None and d.x.shape == (2,)
 
+    @pytest.mark.parametrize("x", [(0.0, math.nan), (0.0, math.inf),
+                                   ((0.0, 1.0), (-math.inf, 1.0))])
+    def test_numeric_labels_must_be_finite(self, x):
+        with pytest.raises(InvalidDesign, match="^numeric labels must be finite$"):
+            cell_table(("0", "1"), p=(0.5, 0.5), a=(1.0, 2.0), x=x)
+
+    @pytest.mark.parametrize("labels", [
+        ("1", "nan", "3"), ("1", "inf", "3"), ("1", "-Infinity", "3"),
+        ("1", "1e400", "3"), ("1;0", "nan;1", "3;2"), ("1;0", "2;inf", "3;2"),
+    ])
+    def test_non_finite_labels_are_not_numeric(self, labels):
+        d = cell_table(labels, p=(0.25, 0.25, 0.5), a=(1.0, 2.0, 3.0))
+        assert d.x is None
+
+    @pytest.mark.parametrize("labels,shape", [
+        (("1", " 2 ", "-3e2"), (3,)), (("1;0", "2;1", "3;2"), (3, 2)),
+        (("1", "2;1", "3"), None), (("1;", "2;", "3;"), None),
+        (("a", "2", "3"), None),
+    ])
+    def test_numeric_labels_inferred(self, labels, shape):
+        d = cell_table(labels, p=(0.25, 0.25, 0.5), a=(1.0, 2.0, 3.0))
+        assert (None if d.x is None else d.x.shape) == shape
+
 
 def test_clip_share():
     assert clip_share(1.5) == 1.0

@@ -3,8 +3,8 @@
 Each of the six readers is run on the same kinds of malformed and
 unusual input: bad values (reported with their line), wrong field
 counts, quoted labels, CRLF line endings and padded fields.  After the
-header, each plain block of lines is parsed by numpy's C reader, and the
-first other block and the rest of the file by the csv module, the exact
+header, each plain block of rows is parsed by numpy's C reader, and the
+first other block and every later one by the csv module, the exact
 reader; the differential tests check that the two never disagree.  The
 writer tests pin the exact bytes each `to_csv` produces on seeded inputs.
 """
@@ -16,6 +16,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -259,6 +260,25 @@ class TestReaders:
         assert snapshot(read(tmp_path, r, r.text(rows))) == snapshot(
             read(tmp_path, r, r.text()))
 
+    @pytest.mark.parametrize("text", ["", "# only\n# comments\n"],
+                             ids=["empty", "comments only"])
+    def test_no_header_row(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with pytest.raises(SchemaError, match="^%s: no header row found$"
+                           % re.escape(str(path))):
+            load_micro(path)
+
+    def test_bad_value_before_a_later_csv_error(self, tmp_path):
+        # the csv module reads a block of records at a time, so a bad d
+        # on line 3 is reported before a field over the csv limit 20,000
+        # lines later, which no longer ends the read first
+        r = READERS["micro"]
+        rows = list(r.rows) * 8000
+        rows[1] = ("b", "7", "1", "-2.0")
+        rows[20_001] = ("x" * (csv.field_size_limit() + 1), "1", "0", "0.5")
+        with pytest.raises(ParseError, match="^line 3: d must be 0 or 1, got '7'$"):
+            read(tmp_path, r, r.text(rows))
+
     @settings(max_examples=200, deadline=None)
     @given(labels=st.lists(st.text(st.sampled_from('a\n\r", '), max_size=6),
                            min_size=1, max_size=8),
@@ -497,57 +517,77 @@ class TestFastPath:
             with pytest.raises(SchemaError, match="no data rows"):
                 r.read(path)
 
-    # the cases below put a given row where the first block of the body
-    # ends (`first_read_ends_in`), at either block size
+    @pytest.mark.parametrize("name", READERS)
+    def test_blank_rows_only_are_no_data_rows(self, tmp_path, name):
+        # more blank rows than a small block holds, in every form
+        r = READERS[name]
+        path = write(tmp_path, r.text(rows=[]) + "\n  \n" + " ,\t" * 3 + "\n" * 20)
+        assert assert_same_as_exact(r, path) is None
+        with pytest.raises(SchemaError, match="no data rows"):
+            r.read(path)
+
+    # the cases below put given rows where the first block of the body
+    # ends (`first_block_ends_with`), at either block size
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_block_ends_between_cr_and_lf(self, tmp_path, eol):
+        # a CRLF row ends the first block: the file is read with
+        # newline="", so its CR and LF stay one line end, which no block
+        # splits
         r = READERS["micro"]
         row = "a,1,0,0.5\r\n"
-        body = first_read_ends_in(row, len(row) - 1, eol) + "b,0,1,1.5" + eol
+        body = first_block_ends_with(row, eol=eol) + "b,0,1,1.5" + eol
         path = write(tmp_path, ",".join(r.header) + eol + body)
         assert assert_same_as_exact(r, path) is not None
+        assert numpy_blocks(r, path)[0][-1] == row
 
     @pytest.mark.parametrize("past", [0, 1, 8])
     def test_file_ends_without_a_newline_near_a_block_end(self, tmp_path,
                                                           past):
-        # the file ends `past` characters after the first block does
+        # the file ends `past` rows after the first block does
         r = READERS["micro"]
-        row = "a,1,0,0.5"
-        path = write(tmp_path, ",".join(r.header) + "\n"
-                     + first_read_ends_in(row, len(row) - past))
+        body = first_block_ends_with("a,1,0,0.5\n") + "b,0,1,1.5\n" * past
+        path = write(tmp_path, ",".join(r.header) + "\n" + body.rstrip("\n"))
         assert assert_same_as_exact(r, path) is not None
+        assert numpy_blocks(r, path)[0][-1] == "a,1,0,0.5" + "\n" * bool(past)
 
     @pytest.mark.parametrize("cut", [1, 2])
     def test_multibyte_label_across_a_block_end(self, tmp_path, cut):
+        # the last `cut` rows of the first block have a multibyte label
         r = READERS["micro"]
         row = "\u65e5\u672c\U0001f600,1,0,0.5\n"
         path = write(tmp_path, ",".join(r.header) + "\n"
-                     + first_read_ends_in(row, cut) + "b,0,1,1.5\n")
+                     + first_block_ends_with(*[row] * cut) + "b,0,1,1.5\n")
         fast = assert_same_as_exact(r, path)
-        assert fast is not None and fast["x"][-2] == row[:3]
+        step = len(numpy_blocks(r, path)[0])
+        assert fast is not None and fast["x"][step - cut:] == [row[:3]] * cut + ["b"]
 
     def test_line_longer_than_a_block(self, tmp_path):
+        # a line longer than the csv field limit is declined; the csv
+        # module reads it if its fields are within the limit
         r = READERS["micro"]
-        label = "x" * (3 * cells._BLOCK_CHARS)
-        path = write(tmp_path, r.text([("a", "1", "0", "0.5"),
-                                       (label, "0", "1", "1.5"),
-                                       ("b", "1", "1", "2.5")]))
-        fast = assert_same_as_exact(r, path)
-        # a line over the csv field limit is declined, and csv rejects it
-        assert (fast is not None) == (len(label) < csv.field_size_limit())
+        limit = csv.field_size_limit()
+        for size in limit - 4, limit + 1:
+            path = write(tmp_path, r.text([("a", "1", "0", "0.5"),
+                                           ("x" * size, "0", "1", "1.5"),
+                                           ("b", "1", "1", "2.5")]))
+            assert assert_same_as_exact(r, path) is None
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            r.read(path)
 
-    # the cases below span several blocks at SMALL_BLOCK characters
+    # the cases below span several blocks at SMALL_BLOCK fields
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_block_ends_at_every_offset_of_a_row(self, tmp_path, eol):
-        # rows of every length up to a block put each row offset, the
-        # one right after a CRLF among them, where a block is cut
+        # bodies of one row and of a row either side of one and two
+        # blocks put the file's end at each offset of a block
         r = READERS["micro"]
-        for pad in range(SMALL_BLOCK):
-            rows = [("c%s" % ("x" * pad), "1", "0", "0.5")] * 6
-            path = write(tmp_path, r.text(rows, eol=eol))
+        step = max(1, cells._BLOCK_FIELDS // len(r.header))
+        for n in sorted({1, step - 1, step, step + 1, 2 * step, 2 * step + 1}
+                        - {0}):
+            path = write(tmp_path, r.text([("c", "1", "0", "0.5")] * n, eol=eol))
             assert assert_same_as_exact(r, path) is not None
+            assert len(numpy_blocks(r, path)) == -(-n // step)
 
     def test_bad_token_in_the_last_block(self, tmp_path):
         r = READERS["micro"]
@@ -556,6 +596,17 @@ class TestFastPath:
         path = write(tmp_path, r.text(rows, comments=1))
         assert assert_same_as_exact(r, path) is None
         with pytest.raises(ParseError, match=error_at(32, "y")):
+            r.read(path)
+
+    def test_line_numbers_run_on_across_csv_blocks(self, tmp_path):
+        # labels quoted around a line break in every block the csv module
+        # reads; the bad row's line counts each of those breaks
+        r = READERS["micro"]
+        rows = [('"a\nb"' if i % 2 else "a", "1", "0", "0.5")
+                for i in range(40)] + [("a", "1", "0", "abc")]
+        path = write(tmp_path, r.text(rows))
+        assert assert_same_as_exact(r, path) is None
+        with pytest.raises(ParseError, match=error_at(2 + 40 + 20, "y")):
             r.read(path)
 
     @pytest.mark.parametrize("name", READERS)
@@ -584,18 +635,28 @@ class TestFastPath:
             r.read(path)
 
 
-SMALL_BLOCK = 40
+SMALL_BLOCK = 12  # fields: three rows of x,d,z,y, two of a panel's
 
 
-def first_read_ends_in(row, cut, eol="\n"):
-    """Rows x,d,z,y then `row`: a body whose first `_BLOCK_CHARS`
-    characters, the first block read after the header, end `cut`
-    characters into `row`."""
-    filler = "f,1,0,0.5" + eol
-    before = cells._BLOCK_CHARS - cut
-    m = before // len(filler) - 1
-    first = "f" + "x" * (before - (m + 1) * len(filler)) + filler[1:]
-    return first + filler * m + row
+def first_block_ends_with(*rows, eol="\n"):
+    """Rows x,d,z,y ending in `rows`, as many as the first block of the
+    body holds."""
+    step = max(1, cells._BLOCK_FIELDS // 4)
+    return ("f,1,0,0.5" + eol) * (step - len(rows)) + "".join(rows)
+
+
+def numpy_blocks(reader, path):
+    """The lines of each block `_numpy_block` is given as `reader` reads
+    `path`."""
+    blocks = []
+
+    def numpy_block(rows, columns):
+        blocks.append(rows)
+        return NUMPY_BLOCK(rows, columns)
+
+    with mock.patch.object(cells, "_numpy_block", numpy_block):
+        reader.read(path)
+    return blocks
 
 
 class TestFastPathInSmallBlocks(TestFastPath):
@@ -603,7 +664,7 @@ class TestFastPathInSmallBlocks(TestFastPath):
 
     @pytest.fixture(autouse=True, scope="class")
     def small_blocks(self):
-        with mock.patch.object(cells, "_BLOCK_CHARS", SMALL_BLOCK):
+        with mock.patch.object(cells, "_BLOCK_FIELDS", SMALL_BLOCK):
             yield
 
     def test_each_line_is_tokenized_once(self, tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,8 +109,36 @@ class TestLoadMicro:
         assert s.x.tolist() == want[inverse].tolist()
 
 
+class TestSampleShapes:
+    """The shape guards of `MicroSample` and `PanelData`, with their
+    exact messages."""
+
+    @pytest.mark.parametrize("columns,message", [
+        ({"x": [["a"], ["b"]], "d": [0, 1]}, "x and d must be matching vectors"),
+        ({"x": ["a", "b"], "d": [0, 1, 1]}, "x and d must be matching vectors"),
+        ({"x": ["a", "b"], "d": [0, 1], "y": [0.5]},
+         "y must match the sample length"),
+        ({"x": [], "d": []}, "a sample needs at least one row"),
+        ({"x": np.array([], dtype=str), "d": np.array([], np.int8), "z": [],
+          "y": []}, "a sample needs at least one row"),
+    ], ids=["x not 1-d", "d too long", "y too short", "empty", "empty x,d,z,y"])
+    def test_micro_sample(self, columns, message):
+        with pytest.raises(SchemaError, match="^%s$" % message):
+            MicroSample(**columns)
+
+    @pytest.mark.parametrize("y,message", [
+        (np.zeros(6), "y must be an \\(n, T\\) outcome matrix"),
+        (np.zeros((3, 2)), "y must be an \\(n, T\\) outcome matrix"),
+        (np.zeros((2, 1)), "a panel needs at least two periods"),
+    ], ids=["1-d", "three rows for two units", "one period"])
+    def test_panel(self, y, message):
+        with pytest.raises(SchemaError, match="^%s$" % message):
+            PanelData(("u1", "u2"), [2.0, math.inf], y)
+
+
 class TestBinaryColumns:
-    """`d` and `z` accept 0/1 in any numeric dtype and reject the rest."""
+    """`d` and `z` accept 0/1 in a bool, integer or real float dtype, or
+    as real numbers in an object array, and reject the rest."""
 
     @pytest.mark.parametrize("role", ["d", "z"])
     @pytest.mark.parametrize("values", [
@@ -134,13 +163,17 @@ class TestBinaryColumns:
         [0, 2], [-1, 1], [0.5, 1.0], [np.nan, 0.0], [np.inf, 1.0],
         [-np.inf, 0.0], np.array(["0", "1"]), np.array([b"0", b"1"]),
         np.array(["0", 1], dtype=object), np.array([None, 1], dtype=object),
-        np.array([0, 2**64 - 1], dtype=np.uint64),
+        np.array([0, 2**64 - 1], dtype=np.uint64), np.array([0, 1], complex),
+        np.array([0, 1], "m8[s]"), np.array([0, 1 + 0j], dtype=object),
     ], ids=["two", "minus one", "half", "nan", "inf", "-inf", "str", "bytes",
-            "object str", "None", "uint64 max"])
+            "object str", "None", "uint64 max", "complex", "timedelta",
+            "object complex"])
     def test_rejected(self, role, message, values):
         columns = {"d": [0, 1], role: values}
-        with pytest.raises(SchemaError, match="^%s$" % message):
-            MicroSample(x=["a", "b"], **columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning from a cast
+            with pytest.raises(SchemaError, match="^%s$" % message):
+                MicroSample(x=["a", "b"], **columns)
 
 
 class TestLoadPanel:

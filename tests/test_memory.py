@@ -1,7 +1,7 @@
 """Memory of the micro-data path.
 
-The CSV writer, the reader (of a plain file, of one whose last block
-has a quoted label, and of a pipe), the estimator and the bootstrap hold
+The CSV writer, the reader (of a plain file, of one whose first or last
+label is quoted, and of a pipe), the estimator and the bootstrap hold
 a bounded block of Python objects beyond the arrays they return or
 evaluate whole.  Each test takes the tracemalloc peak of one call at two
 sizes and bounds how much it grows by a small multiple of how much those
@@ -18,7 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from estimand_audit.data_io import DgpSpec, load_micro, load_panel, simulate
+from estimand_audit.data_io import (DgpSpec, MicroSample, load_micro, load_panel,
+                                    simulate)
 from estimand_audit.inference import (
     BootstrapConfig,
     bootstrap_ci,
@@ -75,13 +76,13 @@ def micro_files(tmp_path_factory, samples):
     return paths
 
 
-def late_quoted(path):
-    """A copy of a sample file whose last label is quoted, so that its
-    last block goes to the csv module."""
-    copy = path.with_name("late_" + path.name)
+def quoted(path, where):
+    """A copy of a sample file whose `where` ("first" or "last") label is
+    quoted, so that the blocks from that one on go to the csv module."""
+    copy = path.with_name("%s_%s" % (where, path.name))
     text = path.read_bytes().decode()
-    last = text.rindex("\n", 0, -1) + 1
-    copy.write_bytes((text[:last] + '"' + text[last:].replace(",", '",', 1))
+    at = (text.index("\n") if where == "first" else text.rindex("\n", 0, -1)) + 1
+    copy.write_bytes((text[:at] + '"' + text[at:].replace(",", '",', 1))
                      .encode())
     return copy
 
@@ -108,8 +109,9 @@ def piped(path):
 
 
 def test_reader_holds_a_block(samples, micro_files):
-    inputs = [(load_micro, micro_files),
-              (load_micro, [late_quoted(p) for p in micro_files])]
+    inputs = [(load_micro, micro_files)] + [
+        (load_micro, [quoted(p, where) for p in micro_files])
+        for where in ("first", "last")]
     if hasattr(os, "mkfifo"):
         inputs.append((piped, micro_files))
     small, large = samples.values()
@@ -121,6 +123,16 @@ def test_reader_holds_a_block(samples, micro_files):
         # as they are joined (8 B) are about 1.7 times a row of the arrays
         # returned (11 B): the 1-B code, d, z and the 8-B outcome
         assert high - low <= 2.25 * (nbytes(large) - nbytes(small))
+
+
+def test_shorter_rows_hold_no_more(tmp_path, samples, micro_files):
+    # a block is bounded in fields, so a file without y, whose rows are
+    # shorter, reads in fewer bytes at once than the file with it
+    s = samples[200_000]
+    xdz = tmp_path / "xdz.csv"
+    MicroSample(s.x, s.d, s.z).to_csv(xdz)
+    peaks = [traced_peak(lambda: load_micro(p))[1] for p in (xdz, micro_files[1])]
+    assert peaks[0] <= peaks[1]
 
 
 def test_estimator_holds_an_index_per_row(samples):

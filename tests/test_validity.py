@@ -154,6 +154,13 @@ class TestLinearCateExistence:
         with pytest.raises(MissingNumericLabels):
             check_linear_cate_existence(d)
 
+    @pytest.mark.parametrize("labels", [("1", "nan", "3"), ("1;0", "nan;1", "3;2")])
+    def test_non_finite_labels_are_missing(self, labels):
+        # once a False verdict, and a raw scipy ValueError for the vectors
+        d = cell_table(labels, (0.25, 0.25, 0.5), (1.0, -1.0, 1.0))
+        with pytest.raises(MissingNumericLabels):
+            check_linear_cate_existence(d)
+
     def test_vector_labels(self):
         # unit square corners; pseudo-mean lands outside the square when
         # the negative weight is large enough
