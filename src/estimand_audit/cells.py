@@ -70,7 +70,10 @@ def rng_stream(seed, *path):
 
 def _as_float_array(values, name, k=None, nan_ok=False):
     """1-d float array of length `k`, all finite (NaN allowed if `nan_ok`)."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidDesign(f"{name} values must be numbers") from None
     if arr.ndim != 1:
         raise InvalidDesign(f"{name} must be one-dimensional")
     if k is not None and arr.shape[0] != k:
@@ -122,30 +125,31 @@ class CellTable:
         Weight values; may be negative.
     w0 : ndarray
         P(W0=1 | X = x_k), each in [0, 1]; the W0 population must have
-        positive total mass.
+        positive total mass.  None (the default) means 1 in every cell.
     tau : ndarray or None
         Optional per-cell CATEs; NaN marks a missing value.  Cells with
         w0 = 0 never need tau (their contribution is defined as zero).
     x : ndarray or None
-        Optional numeric labels, shape (K,) or (K, d); only the convex-hull
-        existence check requires them.
+        Numeric labels, shape (K,) or (K, d), which only the convex-hull
+        existence check requires.  None (the default) reads the labels,
+        when each is a finite number or a ';' vector of them, else None.
     """
 
     labels: tuple
     p: np.ndarray
     a: np.ndarray
-    w0: np.ndarray
+    w0: np.ndarray | None = None
     tau: np.ndarray | None = None
     x: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = tuple(str(l) for l in self.labels)
+        labels = tuple(map(str, self.labels))
         k = len(labels)
         if k == 0:
             raise InvalidDesign("a design needs at least one cell")
         p = _masses(self.p, "p", k)
         a = _as_float_array(self.a, "a", k)
-        w0 = _as_float_array(self.w0, "w0", k)
+        w0 = np.ones(k) if self.w0 is None else _as_float_array(self.w0, "w0", k)
         if np.any(w0 < -MASS_TOL) or np.any(w0 > 1 + MASS_TOL):
             raise InvalidDesign("w0 values must lie in [0, 1]")
         w0 = np.clip(w0, 0.0, 1.0)
@@ -156,9 +160,12 @@ class CellTable:
             tau = _as_float_array(tau, "tau", k, nan_ok=True)
             if np.all(np.isnan(tau)):
                 tau = None
-        x = self.x
+        x = _infer_numeric_labels(labels) if self.x is None else self.x
         if x is not None:
-            x = np.asarray(x, dtype=float)
+            try:
+                x = np.asarray(x, dtype=float)
+            except (TypeError, ValueError):  # ragged, or not numbers
+                x = np.empty(())
             if x.ndim not in (1, 2) or x.shape[0] != k:
                 raise InvalidDesign("numeric labels must be (K,) or (K, d)")
             if not np.isfinite(x).all():
@@ -207,54 +214,12 @@ class CellTable:
 
     @classmethod
     def from_csv(cls, path):
-        labels, p, a, w0, tau = read_csv(path, {
+        return cls(*read_csv(path, {
             "label": text_col, "p": float_col, "a": float_col,
-            "w0": float_col, "tau": tau_col}).values()
-        return cls(tuple(labels), p, a, w0, tau, _infer_numeric_labels(labels))
-
-    def to_json_dict(self):
-        cells = []
-        for i, label in enumerate(self.labels):
-            cell = {
-                "label": label,
-                "p": float(self.p[i]),
-                "a": float(self.a[i]),
-                "w0": float(self.w0[i]),
-                "tau": None
-                if self.tau is None or math.isnan(self.tau[i])
-                else float(self.tau[i]),
-            }
-            if self.x is not None:
-                cell["x"] = np.atleast_1d(self.x[i]).tolist()
-            cells.append(cell)
-        return {"cells": cells}
-
-    @classmethod
-    def from_json_dict(cls, payload):
-        try:
-            cells = payload["cells"]
-            labels = tuple(str(c["label"]) for c in cells)
-            p = [float(c["p"]) for c in cells]
-            a = [float(c["a"]) for c in cells]
-            w0 = [float(c.get("w0", 1.0)) for c in cells]
-            tau = [
-                math.nan if c.get("tau") is None else float(c["tau"]) for c in cells
-            ]
-            x = [c["x"] for c in cells] if all("x" in c for c in cells) else None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed design payload: {exc}") from exc
-        x = _infer_numeric_labels(labels) if x is None else np.squeeze(
-            np.asarray(x, dtype=float))
-        return cls(labels, p, a, w0, tau, x)
+            "w0": float_col, "tau": tau_col}).values())
 
 
-def cell_table(labels, p, a, w0=None, tau=None, x=None):
-    """Convenience constructor; w0 defaults to 1 in every cell and numeric
-    labels are inferred from the label strings when x is not given."""
-    labels = tuple(labels)
-    w0 = np.ones(len(labels)) if w0 is None else w0
-    x = _infer_numeric_labels(labels) if x is None else x
-    return CellTable(labels, p, a, w0, tau, x)
+cell_table = CellTable
 
 
 @dataclass(frozen=True)
@@ -321,19 +286,6 @@ def normalize_sign(design):
     return design
 
 
-def _tau_checked(design, contributing):
-    """tau values with NaN allowed only on non-contributing cells."""
-    if design.tau is None:
-        if np.any(contributing):
-            raise MissingTau("tau is required on cells with a*w0*p != 0")
-        return np.zeros(design.k)
-    missing = np.isnan(design.tau) & contributing
-    if np.any(missing):
-        cells = [design.labels[i] for i in np.flatnonzero(missing)]
-        raise MissingTau(f"tau missing on contributing cells: {cells}")
-    return np.where(np.isnan(design.tau), 0.0, design.tau)
-
-
 def mu(design):
     """The weighted estimand mu(a, tau) = E[a w0 tau] / E[a w0].
 
@@ -343,7 +295,13 @@ def mu(design):
     am = design.a * design.w0_mass
     if abs(am.sum()) <= _degenerate_tol(design) * design.pop_w0:
         raise DegenerateWeights("E[a|W0=1] = 0; the estimand is undefined")
-    return _mean(_tau_checked(design, am != 0), am)
+    if design.tau is None:  # a nonzero E[a w0] has a contributing cell
+        raise MissingTau("tau is required on cells with a*w0*p != 0")
+    missing = np.isnan(design.tau) & (am != 0)
+    if np.any(missing):
+        cells = [design.labels[i] for i in np.flatnonzero(missing)]
+        raise MissingTau(f"tau missing on contributing cells: {cells}")
+    return _mean(np.where(np.isnan(design.tau), 0.0, design.tau), am)
 
 
 def discrete_weights(design):
@@ -438,14 +396,14 @@ def read_csv(path, columns):
 
     `columns` maps the expected header to parsers ``parse(values, name)``,
     or is a function (path, header) -> such a map.  Short rows are padded
-    with blank fields, and the first long row ends the table, so that the
-    error on the earliest row (the leftmost bad value on a tie) is the one
-    reported, with the line it starts on.  The file is opened, and its
-    header parsed and `columns` resolved, once.  The body is then read in
-    blocks of about `_BLOCK_FIELDS` fields (the whole body if a parser
-    checks across rows, `whole_column`).  Each block of lines goes to
-    `_numpy_block`; from the first one it declines on, each block of the
-    csv module's records goes to `_tidy_rows` and the parsers, which
+    with blank fields, and the first long row or malformed record ends the
+    table, so that the error on the earliest row (the leftmost bad value
+    on a tie) is reported, with the line it starts on.  The file is
+    opened, its header parsed and `columns` resolved once.  The body is
+    read in blocks of about `_BLOCK_FIELDS` fields (the whole body if a
+    parser checks across rows, `whole_column`).  Each block of lines goes
+    to `_numpy_block`; from the first one it declines on, each block of
+    the csv module's records goes to `_tidy_rows` and the parsers, which
     raise every error.  So each line is tokenized once, a pipe is read as
     a file is, and memory is bounded by a block beyond the columns."""
     try:
@@ -482,7 +440,14 @@ def read_csv(path, columns):
                 add(block)
                 first += len(rows)
             reader, base, late = csv.reader(itertools.chain(rows, fh)), first, None
-            while late is None and (rows := list(itertools.islice(reader, step))):
+            while late is None:
+                rows = []
+                try:  # a malformed record ends the table after the rows before it
+                    rows.extend(itertools.islice(reader, step))
+                except csv.Error as exc:
+                    late = ParseError(f"{path}: {exc}")
+                if not rows:
+                    break
                 lines, first = range(first, first + len(rows)), base + reader.line_num
                 if lines.stop != first:  # a record spans a line break it quotes
                     lines = list(itertools.accumulate((1 + sum(
@@ -491,7 +456,7 @@ def read_csv(path, columns):
                 # a blank row has a blank first field, so most blocks skip the row loop
                 if not (all(map(width.__eq__, map(len, rows)))
                         and all(v.strip() for v in {row[0] for row in rows})):
-                    rows, lines, late = _tidy_rows(path, rows, lines, width)
+                    rows, lines, late = _tidy_rows(path, rows, lines, width, late)
                 if not rows:
                     continue
                 values, bad = [[row[j] for row in rows] for j in range(width)], None
@@ -549,11 +514,11 @@ def _numpy_block(rows, columns):
         return None
 
 
-def _tidy_rows(path, rows, lines, width):
+def _tidy_rows(path, rows, lines, width, late):
     """Drop blank rows and pad short ones with blank fields.  The first
-    long row ends the table and its error is returned, so that bad values
-    on earlier rows are reported first.  `lines` holds the line each row
-    starts on."""
+    long row ends the table and its error is returned (else `late`), so
+    that bad values on earlier rows are reported first.  `lines` holds
+    the line each row starts on."""
     kept, kept_lines = [], []
     for row, lineno in zip(rows, lines):
         if not any(f.strip() for f in row):
@@ -563,7 +528,7 @@ def _tidy_rows(path, rows, lines, width):
                 f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
         kept.append(row + [""] * (width - len(row)))
         kept_lines.append(lineno)
-    return kept, kept_lines, None
+    return kept, kept_lines, late
 
 
 def text_col(values, name):
@@ -685,7 +650,7 @@ def _infer_numeric_labels(labels):
     """Numeric labels when every label parses as a finite float, or as a
     ';'-separated vector of them of common length; otherwise None."""
     try:  # a label that is no number, or vectors of two lengths, fail
-        x = np.asarray([[float(v) for v in str(l).split(";")] for l in labels])
+        x = np.asarray([[float(v) for v in l.split(";")] for l in labels])
     except ValueError:
         return None
     x = x[:, 0] if x.shape[1:] == (1,) else x

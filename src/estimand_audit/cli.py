@@ -148,10 +148,9 @@ def _build_design(args, parser):
 
 
 def _write_json(path, payload):
-    with open_atomic(path) as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, **payload}, fh, indent=2,
-                  sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    with open_atomic(path) as fh:  # one write: json.dump writes chunk by chunk
+        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **payload},
+                            indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _non_finite(value, key=""):
@@ -370,7 +369,7 @@ def cmd_bootstrap(args, parser):
         "family": args.family,
         "n": sample.n,
         "alpha": cfg.alpha,
-        "draws": [float(v) for v in result.draws],
+        "draws": result.draws.tolist(),
     }
     payload.update(result.to_json_dict())
     lines = [

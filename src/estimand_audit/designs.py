@@ -21,7 +21,6 @@ from .cells import (
     CellTable,
     _as_float_array,
     _BadField,
-    _infer_numeric_labels,
     _masses,
     _store,
     float_col,
@@ -253,8 +252,7 @@ def _column_design(table, family):
     # of these families only the complier share (w0 = pc) can vanish
     if float(table.mass @ w0) <= 0:
         raise NoCompliers("no cell has a positive complier share")
-    return CellTable(table.labels, table.mass, a, w0,
-                     x=_infer_numeric_labels(table.labels))
+    return CellTable(table.labels, table.mass, a, w0)
 
 
 def ols_ate_design(pt):

@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .cells import (CellTable, _BLOCK_FIELDS, _store, _whole, cell_table,
-                    clip_share, rng_stream)
+from .cells import (CellTable, _BLOCK_FIELDS, _store, _whole, clip_share,
+                    rng_stream)
 from .designs import ESTIMAND_FAMILIES, IvCellTable, PropensityTable
 from .errors import (
     AllCellsTrimmed,
@@ -298,7 +298,7 @@ def estimate_design(sample, family):
     # of these families only the complier share can vanish in every cell
     if float(p @ w0) <= 0:
         raise NoCompliers("estimated complier share is zero in every cell")
-    design = cell_table([str(v) for v in labels], p, a, w0=w0)
+    design = CellTable(labels, p, a, w0)
     counts = joint.reshape(k, -1).sum(axis=1)
     return EstimatedDesign(design=design, counts=counts, joint=joint, n=n, family=family)
 

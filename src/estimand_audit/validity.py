@@ -91,7 +91,7 @@ class ValidityReport:
             "a_max": None if math.isnan(self.a_max) else self.a_max,
             "inclusion": None
             if self.inclusion is None
-            else [float(v) for v in self.inclusion.inclusion],
+            else self.inclusion.inclusion.tolist(),
         }
 
 

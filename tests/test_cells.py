@@ -1,11 +1,12 @@
 """Tests for the discrete design model and the weighted-estimand functional."""
 
-import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from estimand_audit.bounds import SupportBounds
 from estimand_audit.cells import (
     CellTable,
     SubpopulationRule,
@@ -19,8 +20,10 @@ from estimand_audit.cells import (
     rng_stream,
     subpop_profile,
 )
+from estimand_audit.designs import PropensityTable
 from estimand_audit.errors import (
     DegenerateWeights,
+    DimensionMismatch,
     EmptySubpopulation,
     InvalidDesign,
     MissingTau,
@@ -50,6 +53,30 @@ class TestCellTableValidation:
         with pytest.raises(InvalidDesign):
             cell_table(("a", "b"), p=(0.5, 0.5), a=(1.0,))
 
+    def test_needs_a_cell(self):
+        with pytest.raises(InvalidDesign,
+                           match="^a design needs at least one cell$"):
+            CellTable((), (), ())
+
+    def test_columns_are_one_dimensional(self):
+        with pytest.raises(InvalidDesign, match="^a must be one-dimensional$"):
+            cell_table(("a", "b"), p=(0.5, 0.5), a=((1.0,), (2.0,)))
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda: cell_table(("a", "b"), (0.5, "x"), (1.0, 2.0)), "p"),
+        (lambda: cell_table(("a", "b"), (0.5, 0.5), (1.0, {})), "a"),
+        (lambda: PropensityTable(("a", "b"), (0.5, 0.5), (0.3, "x")), "p"),
+        (lambda: SupportBounds("lo", 1.0), "support bound"),
+    ])
+    def test_values_must_be_numbers(self, make, name):
+        with pytest.raises(InvalidDesign, match=f"^{name} values must be numbers$"):
+            make()
+
+    def test_defaults_of_a_direct_construction(self):
+        d = CellTable(("1", "2"), (0.5, 0.5), (1.0, 2.0))
+        assert d.x.tolist() == [1.0, 2.0] and d.w0.tolist() == [1.0, 1.0]
+        assert cell_table is CellTable
+
     def test_tolerates_csv_grade_mass_roundoff(self):
         d = cell_table(("a", "b"), p=(0.5 + 2e-10, 0.5), a=(1.0, 2.0))
         assert d.k == 2
@@ -63,6 +90,15 @@ class TestCellTableValidation:
     def test_numeric_labels_must_be_finite(self, x):
         with pytest.raises(InvalidDesign, match="^numeric labels must be finite$"):
             cell_table(("0", "1"), p=(0.5, 0.5), a=(1.0, 2.0), x=x)
+
+    @pytest.mark.parametrize("x", [(0.0, 1.0, 2.0), ((0.0,), (1.0,), (2.0,)),
+                                   (((0.0,),), ((1.0,),)), ((1.0, 2.0), (1.0,)),
+                                   ("a", "b"), (0.0, {})])
+    def test_numeric_labels_have_one_row_a_cell(self, x):
+        # a wrong length, three axes, a ragged x or one that is no numbers
+        with pytest.raises(InvalidDesign, match=re.escape(
+                "numeric labels must be (K,) or (K, d)") + "$"):
+            CellTable(("a", "b"), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0), x=x)
 
     @pytest.mark.parametrize("labels", [
         ("1", "nan", "3"), ("1", "inf", "3"), ("1", "-Infinity", "3"),
@@ -131,7 +167,21 @@ class TestMu:
 
     def test_missing_tau_raises(self):
         d = binary_design()
-        with pytest.raises(MissingTau):
+        with pytest.raises(MissingTau, match=re.escape(
+                "tau is required on cells with a*w0*p != 0") + "$"):
+            mu(d)
+
+    def test_tau_missing_on_a_contributing_cell(self):
+        d = cell_table(("a", "b", "c"), p=(0.25, 0.25, 0.5), a=(1.0, 1.0, 0.0),
+                       tau=(1.0, np.nan, np.nan))
+        with pytest.raises(MissingTau, match=re.escape(
+                "tau missing on contributing cells: ['b']") + "$"):
+            mu(d)
+
+    def test_zero_mean_weight_is_degenerate(self):
+        d = cell_table(("a", "b"), p=(0.5, 0.5), a=(1.0, -1.0), tau=(1.0, 2.0))
+        with pytest.raises(DegenerateWeights, match=re.escape(
+                "E[a|W0=1] = 0; the estimand is undefined") + "$"):
             mu(d)
 
     def test_tau_ignored_on_zero_weight_cells(self):
@@ -176,6 +226,12 @@ class TestDiscreteWeights:
             d = random_design(rng, allow_negative_a=True)
             assert np.sum(discrete_weights(d)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_zero_mean_weight_is_degenerate(self):
+        d = cell_table(("a", "b"), p=(0.5, 0.5), a=(1.0, -1.0))
+        with pytest.raises(DegenerateWeights,
+                           match=re.escape("E[a] = 0; weights are undefined") + "$"):
+            discrete_weights(d)
+
     def test_requires_full_population(self):
         d = cell_table(("a", "b"), p=(0.5, 0.5), a=(1.0, 1.0), w0=(1.0, 0.5))
         with pytest.raises(InvalidDesign):
@@ -189,6 +245,28 @@ class TestDiscreteWeights:
             w = discrete_weights(d)
             recovered = d.with_a(w / d.p)
             assert discrete_weights(recovered) == pytest.approx(w, abs=1e-12)
+
+
+class TestSubpopulationRule:
+    @pytest.mark.parametrize("inclusion", [(1.2, 0.5), (-0.1, 0.5)])
+    def test_inclusion_in_the_unit_interval(self, inclusion):
+        with pytest.raises(InvalidDesign, match=re.escape(
+                "inclusion probabilities must lie in [0, 1]") + "$"):
+            SubpopulationRule(inclusion=inclusion)
+
+    @pytest.mark.parametrize("use", [
+        lambda d, rule: subpop_profile(d, rule, g=(1.0, 2.0)),
+        lambda d, rule: realize_subpop(d, rule, 10),
+    ])
+    def test_inclusion_length_matches_the_design(self, use):
+        with pytest.raises(DimensionMismatch, match=(
+                "^inclusion length does not match the design$")):
+            use(binary_design(), SubpopulationRule(inclusion=(1.0,)))
+
+    def test_realizes_at_least_one_unit(self):
+        rule = SubpopulationRule(inclusion=(1.0, 1.0))
+        with pytest.raises(InvalidDesign, match="^n must be at least 1$"):
+            realize_subpop(binary_design(), rule, 0)
 
 
 class TestSubpopProfile:
@@ -297,13 +375,6 @@ class TestSerialization:
         )
         d = CellTable.from_csv(path)
         assert d.k == 2 and d.tau is None
-
-    def test_json_round_trip(self):
-        d = binary_design(tau=(2.0, 4.0))
-        blob = json.dumps(d.to_json_dict())
-        back = CellTable.from_json_dict(json.loads(blob))
-        assert back.labels == d.labels
-        assert back.tau == pytest.approx(d.tau, abs=0)
 
     def test_numeric_labels_inferred_from_csv(self, tmp_path):
         path = tmp_path / "design.csv"

@@ -645,6 +645,9 @@ BAD_INPUTS = {
                    ("audit", "--design", "d.csv"), "d.csv"),
     "bad-tau": ({"d.csv": BENCH_CSV}, ("audit", "--design", "d.csv",
                                        "--tau", "1,abc"), "'abc'"),
+    "tau-count": ({"d.csv": BENCH_CSV}, ("audit", "--design", "d.csv",
+                                         "--tau", "1,2,3"),
+                  "error: --tau lists 3 values but the design has 2 cells\n"),
     "bad-spec-json": ({"s.json": '{"family": '},
                       ("simulate", "--spec", "s.json", "--n", 5), "s.json"),
     "negative-spec-seed": ({"s.json": SPEC_JSON.replace('"seed": 0',

@@ -279,6 +279,21 @@ class TestReaders:
         with pytest.raises(ParseError, match="^line 3: d must be 0 or 1, got '7'$"):
             read(tmp_path, r, r.text(rows))
 
+    @pytest.mark.parametrize("bad,message", [
+        (("b", "7", "1", "-2.0"), "^line 8: d must be 0 or 1, got '7'$"),
+        (("b", "1", "1", "-2.0", "5"), "line 8: expected 4 fields, got 5$"),
+    ])
+    def test_earlier_row_before_a_csv_error_in_its_block(self, tmp_path, bad,
+                                                         message):
+        # one block of 20 rows: the records read before the malformed one
+        # on line 19 are parsed, so the error on line 8 is reported
+        r = READERS["micro"]
+        rows = (list(r.rows) * 7)[:20]
+        rows[6] = bad
+        rows[17] = ("x" * (csv.field_size_limit() + 1), "1", "0", "0.5")
+        with pytest.raises(ParseError, match=message):
+            read(tmp_path, r, r.text(rows))
+
     @settings(max_examples=200, deadline=None)
     @given(labels=st.lists(st.text(st.sampled_from('a\n\r", '), max_size=6),
                            min_size=1, max_size=8),
