@@ -68,12 +68,21 @@ def rng_stream(seed, *path):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _reals(values, error, message):
+    """`np.asarray(values, dtype=float)`, or `error(message)` where a
+    value is no real number; a complex one too, which numpy would cut to
+    its real part with a ComplexWarning."""
+    try:
+        if not np.iscomplexobj(values):
+            return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise error(message)
+
+
 def _as_float_array(values, name, k=None, nan_ok=False):
     """1-d float array of length `k`, all finite (NaN allowed if `nan_ok`)."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidDesign(f"{name} values must be numbers") from None
+    arr = _reals(values, InvalidDesign, f"{name} values must be numbers")
     if arr.ndim != 1:
         raise InvalidDesign(f"{name} must be one-dimensional")
     if k is not None and arr.shape[0] != k:
@@ -110,8 +119,23 @@ def _whole(value, least):
     return int(value) if whole else None
 
 
+class _LabelledTable:
+    """CSV round trip of a table's labels and its float columns
+    `_COLUMNS`, in which a missing `tau` is an empty field."""
+
+    def to_csv(self, path):
+        write_csv(path, {"label": quoted(self.labels), **{
+            name: getattr(self, name) for name in self._COLUMNS}})
+
+    @classmethod
+    def from_csv(cls, path):
+        return cls(*read_csv(path, {"label": text_col, **{
+            name: tau_col if name == "tau" else float_col
+            for name in cls._COLUMNS}}).values())
+
+
 @dataclass(frozen=True)
-class CellTable:
+class CellTable(_LabelledTable):
     """A discrete design: per-cell mass, weight, base-subpopulation
     probability, and (optionally) a CATE value.
 
@@ -134,6 +158,8 @@ class CellTable:
         existence check requires.  None (the default) reads the labels,
         when each is a finite number or a ';' vector of them, else None.
     """
+
+    _COLUMNS = ("p", "a", "w0", "tau")
 
     labels: tuple
     p: np.ndarray
@@ -162,12 +188,10 @@ class CellTable:
                 tau = None
         x = _infer_numeric_labels(labels) if self.x is None else self.x
         if x is not None:
-            try:
-                x = np.asarray(x, dtype=float)
-            except (TypeError, ValueError):  # ragged, or not numbers
-                x = np.empty(())
+            shape = "numeric labels must be (K,) or (K, d)"
+            x = _reals(x, InvalidDesign, shape)
             if x.ndim not in (1, 2) or x.shape[0] != k:
-                raise InvalidDesign("numeric labels must be (K,) or (K, d)")
+                raise InvalidDesign(shape)
             if not np.isfinite(x).all():
                 raise InvalidDesign("numeric labels must be finite")
         _store(self, labels=labels, p=p, a=a, w0=w0, tau=tau, x=x)
@@ -204,21 +228,9 @@ class CellTable:
     def with_tau(self, tau):
         return replace(self, tau=tau)
 
-    # -- serialization --------------------------------------------------
 
-    def to_csv(self, path):
-        tau = [""] * self.k if self.tau is None else [
-            "" if math.isnan(t) else repr(t) for t in self.tau.tolist()]
-        write_csv(path, {"label": quoted(self.labels), "p": self.p,
-                         "a": self.a, "w0": self.w0, "tau": tau})
-
-    @classmethod
-    def from_csv(cls, path):
-        return cls(*read_csv(path, {
-            "label": text_col, "p": float_col, "a": float_col,
-            "w0": float_col, "tau": tau_col}).values())
-
-
+# in the class's own namespace too, where perfbench's tracer wraps it
+CellTable.from_csv = vars(_LabelledTable)["from_csv"]
 cell_table = CellTable
 
 
@@ -403,9 +415,9 @@ def read_csv(path, columns):
     read in blocks of about `_BLOCK_FIELDS` fields (the whole body if a
     parser checks across rows, `whole_column`).  Each block of lines goes
     to `_numpy_block`; from the first one it declines on, each block of
-    the csv module's records goes to `_tidy_rows` and the parsers, which
-    raise every error.  So each line is tokenized once, a pipe is read as
-    a file is, and memory is bounded by a block beyond the columns."""
+    the csv module's records goes to `_tidy_rows`; `add` parses either.
+    So each line is tokenized once, a pipe is read as a file is, and
+    memory is bounded by a block beyond the columns."""
     try:
         with open(path, newline="") as fh:
             start = 0
@@ -423,21 +435,36 @@ def read_csv(path, columns):
             parts = {name: [] for name in columns}
             memos = {name: {} for name in columns}
 
-            def add(block):  # a text column keeps one str per distinct value
-                for name, column in block.items():
-                    if isinstance(column, list):
-                        parts[name].extend(map(memos[name].setdefault,
-                                               column, column))
+            def add(block, lines, rows=()):
+                """Parse each column of `block` that is a list of fields
+                and add the block.  The earliest bad value (the leftmost on
+                a tie) raises, with its line, unless it is on a blank row of
+                numpy's `rows`: then False, for the csv module to drop it."""
+                bad = None
+                for j, (name, parse) in enumerate(columns.items()):
+                    try:
+                        if isinstance(block[j], list):
+                            block[j] = parse(block[j], name)
+                    except _BadField as err:
+                        bad = err.args if bad is None or err.args[0] < bad[0] else bad
+                if bad is not None:
+                    if rows and not rows[bad[0]].replace(",", "").strip():
+                        return False
+                    raise bad[1](f"line {lines[bad[0]]}: {bad[2]}")
+                for part, memo, column in zip(parts.values(), memos.values(), block):
+                    if isinstance(column, list):  # one str per distinct value
+                        part.extend(map(memo.setdefault, column, column))
                     else:
-                        parts[name].append(column)
+                        part.append(column)
+                return True
 
             width = len(header)
             step = None if any(getattr(parse, "whole_column", False) for parse
                                in columns.values()) else max(1, _BLOCK_FIELDS // width)
             first = start + reader.line_num + 1  # the line `rows` starts on
             while (rows := list(itertools.islice(fh, step))) and (
-                    block := _numpy_block(rows, columns)) is not None:
-                add(block)
+                    block := _numpy_block(rows, columns)) is not None and add(
+                        block, range(first, first + len(rows)), rows):
                 first += len(rows)
             reader, base, late = csv.reader(itertools.chain(rows, fh)), first, None
             while late is None:
@@ -457,17 +484,8 @@ def read_csv(path, columns):
                 if not (all(map(width.__eq__, map(len, rows)))
                         and all(v.strip() for v in {row[0] for row in rows})):
                     rows, lines, late = _tidy_rows(path, rows, lines, width, late)
-                if not rows:
-                    continue
-                values, bad = [[row[j] for row in rows] for j in range(width)], None
-                for j, (name, parse) in enumerate(columns.items()):
-                    try:
-                        add({name: parse(values[j], name)})
-                    except _BadField as err:
-                        bad = err.args if bad is None or err.args[0] < bad[0] else bad
-                    values[j] = None
-                if bad is not None:
-                    raise bad[1](f"line {lines[bad[0]]}: {bad[2]}")
+                if rows:
+                    add([[row[j] for row in rows] for j in range(width)], lines)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     if late is not None:
@@ -481,22 +499,23 @@ def read_csv(path, columns):
 def _plain(text):
     """Whether `text` has no quote, NUL (which csv rejects before Python
     3.11) or lone CR."""
-    return not ('"' in text or "\0" in text
-                or text.count("\r") != text.count("\r\n"))
+    return not ('"' in text or "\0" in text or "\r" in text
+                and text.count("\r") != text.count("\r\n"))
 
 
 def _numpy_block(rows, columns):
-    """{name: column} of `rows`, whole lines of a CSV body, parsed by
-    numpy's C tokenizer, or None.
+    """The columns of `rows`, whole lines of a CSV body, as numpy's C
+    tokenizer splits them, or None.
 
-    Columns whose parser `reads_floats` are parsed by `np.loadtxt`, which
-    calls the same C routine as `float`; every other column goes to its
-    parser as text.  A block is declined on any error, a quote, a NUL, a
-    lone CR (`_plain`), a line over the csv field limit or a wrong field
-    count; `read_csv` reads it and every later block with the csv module,
-    so that it alone raises.  Short and blank rows fail in loadtxt or in
-    the parsers, which reject a blank float, 0/1 or adoption period, and
-    every table has one."""
+    A column whose parser `reads_floats` comes back parsed, by
+    `np.loadtxt`, which calls the same C routine as `float`; every other
+    column is the list of its fields.  A block is declined on a quote, a
+    NUL, a lone CR (`_plain`), a line over the csv field limit, a wrong
+    field count or a float loadtxt cannot read; `read_csv` reads it and
+    every later block with the csv module.  So the rows of a block taken
+    here are its physical lines, as the csv module would split them.  A
+    blank row has a blank float, 0/1 or adoption period, and every table
+    has one, so loadtxt or a parser finds it."""
     try:
         text = "".join(rows)
         if (not _plain(text)
@@ -507,11 +526,10 @@ def _numpy_block(rows, columns):
                   else object) for name, parse in columns.items()]
         table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
                            ndmin=1)
-        return {name: table[name].copy() if kind is float
-                else parse(table[name].tolist(), name)
-                for (name, kind), parse in zip(dtype, columns.values())}
     except Exception:  # whatever this path cannot read, the csv module reports
         return None
+    return [table[name].copy() if kind is float else table[name].tolist()
+            for name, kind in dtype]
 
 
 def _tidy_rows(path, rows, lines, width, late):
@@ -600,8 +618,8 @@ def _fields(values):
     """The csv fields of a slice of a `write_csv` column."""
     if not isinstance(values, np.ndarray):
         return values
-    if values.dtype.kind == "f":
-        return list(map(repr, values.tolist()))
+    if values.dtype.kind == "f":  # NaN is missing, as `tau_col` reads it
+        return [repr(v) if v == v else "" for v in values.tolist()]
     if values.dtype.kind in "iu":
         return list(map(_BIT_FIELDS.__getitem__, values.tolist()))
     return quoted(values.tolist())
@@ -609,14 +627,16 @@ def _fields(values):
 
 def write_csv(path, columns):
     """Write {header name: column} to a path or text stream, byte for byte
-    as csv.writer would.  A column is a float array, written by `repr`, a
-    0/1 integer array, a str or object array of labels, which go through
+    as csv.writer would.  A column is a float array, written by `repr`
+    (NaN, or a None column after the first, as empty fields), a 0/1
+    integer array, a str or object array of labels, which go through
     `quoted`, labels by code (`Coded`) or a list of formatted fields.
 
     Memory is bounded by a block: each slice of about `_BLOCK_FIELDS`
     fields is formatted from the arrays, written and dropped, so that an
     array column never has a string per row at once."""
     cols = list(columns.values())
+    cols = [np.full(len(cols[0]), math.nan) if c is None else c for c in cols]
     step = max(1, _BLOCK_FIELDS // len(cols))
     with open_atomic(path, newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
@@ -646,12 +666,15 @@ def open_atomic(path, newline=None):
                 os.remove(tmp)
 
 
+@functools.lru_cache(maxsize=1)
 def _infer_numeric_labels(labels):
     """Numeric labels when every label parses as a finite float, or as a
-    ';'-separated vector of them of common length; otherwise None."""
+    ';'-separated vector of them of common length; otherwise None.  The
+    last answer is kept, read-only, for `with_a` and `with_tau` to share."""
     try:  # a label that is no number, or vectors of two lengths, fail
         x = np.asarray([[float(v) for v in l.split(";")] for l in labels])
     except ValueError:
         return None
     x = x[:, 0] if x.shape[1:] == (1,) else x
+    x.setflags(write=False)
     return x if np.isfinite(x).all() else None

@@ -27,8 +27,8 @@ from .bounds import (
     ate_bounds_general,
     decompose_negative_weights,
 )
-from .cells import (CellTable, _BadField, clip_share, moment_summary,
-                    normalize_sign, open_atomic, quoted, tau_col, write_csv)
+from .cells import (CellTable, _BadField, _fields, clip_share, moment_summary,
+                    normalize_sign, open_atomic, tau_col, write_csv)
 from .data_io import DgpSpec, load_micro, load_panel, panel_to_group_distribution, simulate
 from .designs import ESTIMAND_FAMILIES, GroupDistribution, IvCellTable, PropensityTable
 from .errors import (AuditError, InfeasibleProgram, InstanceTooLarge,
@@ -398,7 +398,8 @@ def cmd_simulate(args, parser):
 
 
 def _figure_columns(args, parser):
-    """{column name: formatted values} of the requested figure."""
+    """{column name: float array, or object array of labels} of the
+    requested figure."""
     family, design = _build_design(args, parser)
     sub = design.w0_mass > 0
     q = design.w0_mass[sub] / design.pop_w0
@@ -407,11 +408,10 @@ def _figure_columns(args, parser):
         a = design.a[sub]
         a_max = float(a.max())
         if design.x is not None and design.x.ndim == 1:
-            xs = [repr(float(v)) for v in np.asarray(design.x)[sub]]
+            xs = design.x[sub]
         else:
-            xs = [design.labels[i] for i in np.flatnonzero(sub)]
-        return {"x": xs, "f_X": [repr(float(v)) for v in q],
-                "a_f_X_over_a_max": [repr(float(v)) for v in a * q / a_max]}
+            xs = np.array(design.labels, dtype=object)[sub]
+        return {"x": xs, "f_X": q, "a_f_X_over_a_max": a * q / a_max}
     if design.tau is None:
         raise MissingTau("fig2 needs tau values in the design")
     mu0 = args.mu0 if args.mu0 is not None else moment_summary(design).mu
@@ -422,23 +422,20 @@ def _figure_columns(args, parser):
     taus = design.tau[sub]
     kept = (report.inclusion.inclusion[sub]
             if report.inclusion is not None else np.zeros(q.shape))
-    alpha = "" if np.isnan(trim.alpha) else repr(float(trim.alpha))
     order = np.argsort(taus, kind="stable")
-    return {"tau": [repr(float(taus[j])) for j in order],
-            "mass": [repr(float(q[j])) for j in order],
-            "kept": [repr(float(kept[j])) for j in order],
-            "alpha": [alpha] * len(order)}
+    return {"tau": taus[order], "mass": q[order], "kept": kept[order],
+            "alpha": np.full(len(order), trim.alpha)}
 
 
 def cmd_figure_data(args, parser):
     columns = _figure_columns(args, parser)
-    write_csv(sys.stdout if args.out is None else args.out, {
-        name: quoted(col) if name == "x" else col
-        for name, col in columns.items()})
-    if args.json is not None:
+    write_csv(sys.stdout if args.out is None else args.out, columns)
+    if args.json is not None:  # the CSV's fields, with labels unquoted
+        fields = [c.tolist() if c.dtype == object else _fields(c)
+                  for c in columns.values()]
         _write_json(args.json, {
             "which": args.which,
-            "rows": [dict(zip(columns, r)) for r in zip(*columns.values())],
+            "rows": [dict(zip(columns, r)) for r in zip(*fields)],
         })
     return 0
 

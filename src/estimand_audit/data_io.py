@@ -24,6 +24,7 @@ import numpy as np
 from .cells import (
     _as_float_array,
     _BadField,
+    _reals,
     _store,
     _whole,
     Coded,
@@ -100,7 +101,7 @@ class MicroSample:
         if z is not None:
             z = _bits(z, codes.shape, "instrument values must be 0 or 1")
         if y is not None:
-            y = np.asarray(y, dtype=float)
+            y = _reals(y, SchemaError, "outcome values must be numbers")
             if y.shape != codes.shape:
                 raise SchemaError("y must match the sample length")
             if not np.isfinite(y).all():
@@ -184,10 +185,11 @@ class PanelData:
             if u in seen:
                 raise SchemaError(f"duplicated unit {u!r}")
             seen.add(u)
-        g = np.asarray(self.g, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        g = _reals(self.g, SchemaError, "adoption periods must be numbers")
+        shape = "y must be an (n, T) outcome matrix"
+        y = _reals(self.y, SchemaError, shape)
         if y.ndim != 2 or y.shape[0] != len(units):
-            raise SchemaError("y must be an (n, T) outcome matrix")
+            raise SchemaError(shape)
         t = y.shape[1]
         if t < 2:
             raise SchemaError("a panel needs at least two periods")

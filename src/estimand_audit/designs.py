@@ -21,12 +21,11 @@ from .cells import (
     CellTable,
     _as_float_array,
     _BadField,
+    _LabelledTable,
     _masses,
     _store,
     float_col,
-    quoted,
     read_csv,
-    text_col,
     write_csv,
 )
 from .errors import (
@@ -51,20 +50,6 @@ __all__ = [
     "twfe_gb_weights",
     "twfe_h_design",
 ]
-
-
-class _LabelledTable:
-    """CSV round trip of cell labels plus the float columns `_COLUMNS`."""
-
-    def to_csv(self, path):
-        write_csv(path, {"label": quoted(self.labels), **{
-            name: getattr(self, name) for name in self._COLUMNS}})
-
-    @classmethod
-    def from_csv(cls, path):
-        labels, *cols = read_csv(path, {
-            "label": text_col, **dict.fromkeys(cls._COLUMNS, float_col)}).values()
-        return cls(tuple(labels), *cols)
 
 
 @dataclass(frozen=True)

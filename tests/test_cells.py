@@ -2,10 +2,12 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from estimand_audit import cells
 from estimand_audit.bounds import SupportBounds
 from estimand_audit.cells import (
     CellTable,
@@ -71,6 +73,27 @@ class TestCellTableValidation:
     def test_values_must_be_numbers(self, make, name):
         with pytest.raises(InvalidDesign, match=f"^{name} values must be numbers$"):
             make()
+
+    @pytest.mark.parametrize("field", ["p", "a", "w0", "tau", "x"])
+    def test_complex_values_are_refused(self, field):
+        # numpy would keep the real part and warn; no ComplexWarning escapes
+        columns = {"p": (0.5, 0.5), "a": (1.0, 2.0), "w0": (1.0, 1.0),
+                   "tau": (1.0, 2.0), "x": (1.0, 2.0)}
+        columns[field] = np.array(columns[field], dtype=complex)
+        message = ("numeric labels must be (K,) or (K, d)" if field == "x"
+                   else f"{field} values must be numbers")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDesign, match=f"^{re.escape(message)}$"):
+                CellTable(("a", "b"), **columns)
+
+    def test_labels_are_read_as_numbers_once(self):
+        # with_a and with_tau keep the labels, so they are not parsed again
+        d = cell_table(("1", "2", "a"), p=(0.25, 0.25, 0.5), a=(1.0, 2.0, 3.0))
+        misses = cells._infer_numeric_labels.cache_info().misses
+        d = d.with_tau((1.0, 2.0, 3.0)).with_a((3.0, 2.0, 1.0))
+        assert d.x is None
+        assert cells._infer_numeric_labels.cache_info().misses == misses
 
     def test_defaults_of_a_direct_construction(self):
         d = CellTable(("1", "2"), (0.5, 0.5), (1.0, 2.0))
@@ -367,6 +390,17 @@ class TestSerialization:
         assert "tau" in text.splitlines()[0]
         back = CellTable.from_csv(path)
         assert back.tau is None
+
+    def test_csv_missing_tau_is_an_empty_field(self, tmp_path):
+        # NaN and a design without tau are written as csv.writer writes ""
+        path = tmp_path / "design.csv"
+        cell_table(("a", "b,c"), p=(0.5, 0.5), a=(1.0, 2.0),
+                   tau=(math.nan, 0.1)).to_csv(path)
+        assert path.read_bytes() == (b'label,p,a,w0,tau\r\na,0.5,1.0,1.0,\r\n'
+                                     b'"b,c",0.5,2.0,1.0,0.1\r\n')
+        cell_table(("a", "b"), p=(0.5, 0.5), a=(1.0, 2.0)).to_csv(path)
+        assert path.read_bytes() == (b"label,p,a,w0,tau\r\na,0.5,1.0,1.0,\r\n"
+                                     b"b,0.5,2.0,1.0,\r\n")
 
     def test_csv_comment_line_accepted(self, tmp_path):
         path = tmp_path / "design.csv"

@@ -221,6 +221,19 @@ class TestAuditFixedTau:
         for key in ("closed_form", "mass_reduction", "brute_force"):
             assert solvers[key] == pytest.approx(8 / 9, abs=1e-9)
 
+    def test_solvers_that_disagree_are_reported(self, tmp_path):
+        src = tmp_path / "two.csv"
+        src.write_text(TWO_POINT_CSV)
+        out = tmp_path / "r.json"
+        with mock.patch.object(cli, "fixed_tau_bruteforce", lambda d, m: 0.5):
+            assert run("audit", "--design", src, "--mu0", "0.25",
+                       "--json", out, "--quiet") == 0
+        payload = json.loads(out.read_text())
+        assert payload["fixed_tau"]["agreement"] is False
+        assert payload["fixed_tau"]["solvers"]["brute_force"] == 0.5
+        assert ("fixed-tau solvers disagree beyond 1e-09"
+                in payload["diagnostics"]["warnings"])
+
     def test_tau_flag_attaches_values(self, tmp_path):
         src = tmp_path / "pt.csv"
         src.write_text(PROPENSITY_CSV)

@@ -135,6 +135,33 @@ class TestSampleShapes:
         with pytest.raises(SchemaError, match="^%s$" % message):
             PanelData(("u1", "u2"), [2.0, math.inf], y)
 
+    @pytest.mark.parametrize("y", [["x", "1"], np.array([0.5, 1], complex)],
+                             ids=["not numbers", "complex"])
+    def test_micro_outcomes_must_be_numbers(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no raw ValueError or ComplexWarning
+            with pytest.raises(SchemaError,
+                               match="^outcome values must be numbers$"):
+                MicroSample(["a", "b"], [0, 1], y=y)
+
+    @pytest.mark.parametrize("g,y,message", [
+        ([2.0, "x"], np.zeros((2, 2)), "adoption periods must be numbers"),
+        (np.array([2.0, math.inf], complex), np.zeros((2, 2)),
+         "adoption periods must be numbers"),
+        ([2.0, math.inf], [["x", "1"], ["1", "2"]],
+         "y must be an \\(n, T\\) outcome matrix"),
+        ([2.0, math.inf], [[1.0, 2.0], [1.0]],
+         "y must be an \\(n, T\\) outcome matrix"),
+        ([2.0, math.inf], np.zeros((2, 2), complex),
+         "y must be an \\(n, T\\) outcome matrix"),
+    ], ids=["g not numbers", "complex g", "y not numbers", "ragged y",
+            "complex y"])
+    def test_panel_values_must_be_numbers(self, g, y, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no raw ValueError or ComplexWarning
+            with pytest.raises(SchemaError, match="^%s$" % message):
+                PanelData(("u1", "u2"), g, y)
+
 
 class TestBinaryColumns:
     """`d` and `z` accept 0/1 in a bool, integer or real float dtype, or
@@ -187,6 +214,13 @@ class TestLoadPanel:
         assert panel.n == 2
         assert panel.g[0] == 2 and math.isinf(panel.g[1])
         assert panel.y.shape == (2, 3)
+
+    @pytest.mark.parametrize("header", ["unit,g,y1", "unit,g,y1,y3",
+                                        "id,g,y1,y2"])
+    def test_header(self, tmp_path, header):
+        p = write(tmp_path / "p.csv", header + "\n")
+        with pytest.raises(SchemaError, match="header must be unit,g,y1,…,yT"):
+            load_panel(p)
 
     def test_duplicate_unit(self, tmp_path):
         p = write(tmp_path / "p.csv", "unit,g,y1,y2\nu1,2,0,1\nu1,2,0,1\n")
@@ -307,6 +341,27 @@ class TestDgpSpec:
                     "cells": [{"label": "1", "mass": 1.0, "p": 1.3, "tau": 0.0}],
                 }
             )
+
+    def test_negative_noise_scale(self):
+        with pytest.raises(InvalidSpec,
+                           match="^noise_scale must be nonnegative$"):
+            dataclasses.replace(benchmark_spec(), noise_scale=-0.5)
+
+    def test_unknown_estimand(self):
+        with pytest.raises(InvalidSpec, match="^unknown estimand 'ols_late'$"):
+            benchmark_spec().true_design("ols_late")
+
+    @pytest.mark.parametrize("payload", [
+        {"cells": []},
+        {"family": "iv", "cells": [{"label": "a", "mass": "heavy"}]},
+        {"family": "iv", "cells": [{"label": "a", "mass": [1.0]}]},
+        {"family": "staggered_did", "t": 3, "groups": [{"g": "x", "share": 1}]},
+        ["family", "iv"],
+    ], ids=["no family", "mass not a number", "mass a list", "group not a "
+            "number", "not an object"])
+    def test_malformed_payload(self, payload):
+        with pytest.raises(InvalidSpec, match="^malformed DGP specification: "):
+            DgpSpec.from_json_dict(payload)
 
     def test_json_round_trip(self):
         for make in (benchmark_spec, iv_spec, staggered_spec):
@@ -509,6 +564,10 @@ class TestLockIns:
 
 
 class TestSimulate:
+    def test_needs_a_unit(self):
+        with pytest.raises(InvalidSpec, match="^n must be at least 1$"):
+            simulate(benchmark_spec(), 0)
+
     @settings(max_examples=60, deadline=None)
     @given(masses=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
            n=st.integers(1, 500), seed=st.integers(0, 2**32))

@@ -65,6 +65,11 @@ class TestPropensityTable:
         with pytest.raises(OverlapViolation):
             PropensityTable(("a",), (1.0,), (1.0,))
 
+    def test_needs_a_cell(self):
+        with pytest.raises(InvalidDesign, match="^a propensity table needs "
+                           "at least one cell$"):
+            PropensityTable((), (), ())
+
     def test_csv_round_trip(self, tmp_path):
         pt = two_cell_pt()
         path = tmp_path / "pt.csv"
@@ -135,6 +140,20 @@ def iv_table(pz, pc, cov_dz=None, mass=None):
     return IvCellTable(labels, mass, pz, cov_dz, pc)
 
 
+class TestIvCellTable:
+    def test_needs_a_cell(self):
+        with pytest.raises(InvalidDesign, match="^an instrument table needs "
+                           "at least one cell$"):
+            IvCellTable((), (), (), (), ())
+
+    @pytest.mark.parametrize("pc", [-0.5, 1.5])
+    def test_complier_shares_lie_in_the_unit_interval(self, pc):
+        with pytest.raises(InvalidDesign,
+                           match=r"^complier shares must lie in \[0, 1\]$"):
+            IvCellTable(("a", "b"), (0.5, 0.5), (0.5, 0.5), (0.0, 0.0),
+                        (0.5, pc))
+
+
 class TestIvDesign:
     def test_instrument_variance_weight(self):
         d = iv_design(iv_table([0.5, 0.2], [0.6, 0.4]))
@@ -174,6 +193,9 @@ class TestGroupDistribution:
             GroupDistribution(3, {2: 0.5, 3: 0.4})  # sums to 0.9
         with pytest.raises(InvalidDesign):
             GroupDistribution(3, {1: 0.5, 3: 0.5})  # g=1 outside support
+        with pytest.raises(InvalidDesign,
+                           match="^group shares must be nonnegative$"):
+            GroupDistribution(3, {2: -0.5, 3: 1.5})
 
     @pytest.mark.parametrize("t,shares", [
         (4, {2.5: 0.5, math.inf: 0.5}),  # a fractional adoption period
@@ -202,6 +224,13 @@ class TestGroupDistribution:
         back = GroupDistribution.from_csv(path)
         assert back.t == 3
         assert back.shares == pytest.approx(gd.shares, abs=0)
+
+    def test_csv_needs_a_finite_group(self, tmp_path):
+        path = tmp_path / "gd.csv"
+        path.write_text("g,share\ninf,1.0\n")
+        with pytest.raises(InvalidDesign, match="^cannot infer the number "
+                           "of periods without a finite group$"):
+            GroupDistribution.from_csv(path)
 
     @pytest.mark.parametrize("duplicate", [False, True])
     def test_many_periods(self, tmp_path, duplicate):
@@ -310,6 +339,11 @@ class TestGbCrossCheck:
             d = twfe_h_design(gd)
             treated = d.w0 > 0
             assert twfe_gb_weights(gd) == pytest.approx(d.a[treated], abs=1e-12)
+
+    def test_no_treated_group(self):
+        with pytest.raises(NoTreatedGroups,
+                           match="^every unit is never-treated$"):
+            twfe_gb_weights(GroupDistribution(3, {2: 0.0, math.inf: 1.0}))
 
     def test_single_treated_group(self):
         gd = GroupDistribution(5, {3: 0.6, math.inf: 0.4})

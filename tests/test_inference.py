@@ -17,6 +17,7 @@ from estimand_audit.errors import (
     DegenerateWeights,
     DimensionMismatch,
     EmptyCellArm,
+    InvalidDesign,
     ResampleDegenerate,
     SchemaError,
 )
@@ -24,6 +25,7 @@ from estimand_audit.inference import (
     ESTIMABLE,
     BootstrapConfig,
     EstimatedDesign,
+    LimitFunctional,
     bootstrap_ci,
     estimate_design,
     estimate_uniform_validity,
@@ -163,6 +165,18 @@ class TestEstimateUniformValidity:
                              joint=[[2, 3], [2, 3]], n=10, family="ols_ate")
         with pytest.raises(DegenerateWeights, match="not positive"):
             estimate_uniform_validity(ed, CFG)
+
+    def test_counts_must_add_up_to_the_sample_size(self):
+        design = cell_table(["a", "b"], [0.5, 0.5], [1.0, 1.0])
+        with pytest.raises(InvalidDesign, match="^cell counts do not add up "
+                           "to the sample size$"):
+            EstimatedDesign(design=design, counts=[5, 5],
+                            joint=[[2, 3], [2, 2]], n=10, family="ols_ate")
+
+    def test_near_maximizer_set_is_never_empty(self):
+        with pytest.raises(InvalidDesign,
+                           match="^near-maximizer set is empty$"):
+            LimitFunctional(np.ones(2), np.ones(2), np.ones(2), 1.0, ())
 
     def test_raw_estimate_can_exceed_one(self):
         # the global weight max sits in a trimmed cell: the reported ratio

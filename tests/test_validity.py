@@ -38,6 +38,7 @@ from estimand_audit.errors import (
     DegenerateWeights,
     InfeasibleProgram,
     InstanceTooLarge,
+    InvalidDesign,
     MissingNumericLabels,
     MissingTau,
     NegativeBound,
@@ -454,6 +455,16 @@ class TestFixedTauLp:
         with pytest.raises(InfeasibleProgram):
             fixed_tau_lp(d, mu0)
 
+    def test_an_overflowing_program_ends_in_an_audit_error(self):
+        # t = tau - mu0 overflows to -inf: under the CLI's errstate, t @ f
+        # turns NaN, every cell leaves the run and the iteration gives up
+        d = cell_table(("a", "b"), (0.5, 0.5), (1.0, 1.0),
+                       tau=(-1.7e308, 1.7e308))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(AuditError, match="^the mass-reduction "
+                               "iteration failed to converge$"):
+                fixed_tau_lp(d, 1e308)
+
     def test_ties_in_tau(self):
         d = cell_table(("a", "b", "c"), (0.25, 0.5, 0.25), (1.0, 1.0, 1.0),
                        tau=(0.0, 1.0, 1.0))
@@ -462,6 +473,25 @@ class TestFixedTauLp:
         assert fixed_tau_lp(d, 0.5) == pytest.approx(
             fixed_tau_bruteforce(d, 0.5), abs=1e-12
         )
+
+
+class TestGivenTauProgramInputs:
+    """The guards of the program the three given-tau solvers share."""
+
+    @pytest.mark.parametrize("solver", [fixed_tau_internal_validity,
+                                        fixed_tau_lp, fixed_tau_bruteforce])
+    def test_a_sample_needs_mu0(self, solver):
+        sample = TauSample(values=(0.0, 1.0), masses=(0.5, 0.5))
+        with pytest.raises(InvalidDesign,
+                           match="^mu0 is required with a sample input$"):
+            solver(sample, None)
+
+    @pytest.mark.parametrize("solver", [fixed_tau_internal_validity,
+                                        fixed_tau_lp, fixed_tau_bruteforce])
+    def test_another_source_is_refused(self, solver):
+        with pytest.raises(TypeError,
+                           match="^expected a CellTable or a TauSample$"):
+            solver({"tau": (0.0, 1.0)}, 0.5)
 
 
 @pytest.mark.parametrize("tied", [(0.001, 0.2), (0.2, 0.001)])
