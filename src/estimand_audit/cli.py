@@ -28,7 +28,7 @@ from .bounds import (
     decompose_negative_weights,
 )
 from .cells import (CellTable, _BadField, _fields, clip_share, moment_summary,
-                    normalize_sign, open_atomic, tau_col, write_csv)
+                    mu, normalize_sign, open_atomic, tau_col, write_csv)
 from .data_io import DgpSpec, load_micro, load_panel, panel_to_group_distribution, simulate
 from .designs import ESTIMAND_FAMILIES, GroupDistribution, IvCellTable, PropensityTable
 from .errors import (AuditError, InfeasibleProgram, InstanceTooLarge,
@@ -414,7 +414,7 @@ def _figure_columns(args, parser):
         return {"x": xs, "f_X": q, "a_f_X_over_a_max": a * q / a_max}
     if design.tau is None:
         raise MissingTau("fig2 needs tau values in the design")
-    mu0 = args.mu0 if args.mu0 is not None else moment_summary(design).mu
+    mu0 = args.mu0 if args.mu0 is not None else mu(design)
     if not math.isfinite(mu0):
         raise NonFiniteResult("fig2's default mu0, the design's own "
                               "estimand, is not a finite number")

@@ -281,9 +281,9 @@ def _twfe_core(gd):
     finite = gd.treated_groups()
     if not finite:
         raise NoTreatedGroups("every unit is never-treated")
-    g, s = np.array(list(gd.shares.items()), dtype=float).T
-    f = np.cumsum(np.where(g <= np.arange(1, gd.t + 1)[:, None], s, 0.0),
-                  axis=1)[:, -1]
+    f = np.zeros(gd.t)
+    for g, s in gd.shares.items():  # a never-treated group adds to no period
+        f[min(g, gd.t + 1) - 1:] += s
     cum_f = np.cumsum(f)
     groups = finite + ([math.inf] if gd.never_share > 0 else [])
     return groups, f, cum_f, cum_f[-1] / gd.t
@@ -322,8 +322,7 @@ def twfe_h_design(gd):
     g = np.array([k for k in groups if k is not math.inf])
     w0 = (gd.t - g + 1) / gd.t
     # F(g) + ... + F(T) left to right; a cum_f difference changes last bits
-    after = np.cumsum(np.where(np.arange(1, gd.t + 1) >= g[:, None], f, 0.0),
-                      axis=1)[:, -1]
+    after = np.array([np.cumsum(f[k - 1:])[-1] for k in g])
     a = (1.0 - w0) * ((1.0 - after / (gd.t - g + 1)) + cum_f[g - 2] / (g - 1))
     zeros = [0.0] * (len(groups) - len(g))
     return PanelCellTable(tuple(f"g={_g_str(k)}" for k in groups),

@@ -477,10 +477,9 @@ def bootstrap_ci(sample, family, cfg):
                                             + np.count_nonzero(ok_w0))
             masked = np.where(untrimmed, a, -np.inf)
             unstable += count - int(np.count_nonzero(in_psi[masked.argmax(axis=1)]))
-        if filled == m:
-            draws[pending] = psi_apply(lf, z)
-            break
         draws[pending[good]] = psi_apply(lf, z[:filled])
+        if filled == m:
+            break
         redraws += m - filled
         pending = pending[~good]
     else:

@@ -287,7 +287,8 @@ def _program(source, mu0, context="the size program"):
     1e-12 (E|tau| + |mu0|), the size of the program's sums, which covers
     the rounding of tau - mu0 and ignores an outlier without mass, and
     whether a positive share is kept (`inside`): mu0 is finite, and t has
-    both signs (or a zero) or the atom of t nearest zero is within tol."""
+    both signs (or a zero) or the atom of t nearest zero is within tol;
+    an `inside` t that overflows is a :class:`NonFiniteResult`."""
     if isinstance(source, TauSample):
         if mu0 is None:
             raise InvalidDesign("mu0 is required with a sample input")
@@ -306,6 +307,8 @@ def _program(source, mu0, context="the size program"):
     near = lo if lo > 0 else hi  # the t nearest zero if t has one sign
     inside = math.isfinite(mu0) and (
         lo <= 0 <= hi or abs(near) * np.bincount(t == near, q)[1] <= tol)
+    if inside and not np.isfinite(t).all():
+        raise NonFiniteResult(f"tau - mu0 overflows at mu0={mu0!r}")
     return _Program(values, q, sub, mu0, t, float(np.abs(t) @ q), tol,
                     bool(inside))
 
@@ -318,8 +321,6 @@ def fixed_tau_internal_validity(design_or_sample, mu0=None):
     design's estimand) or a :class:`TauSample` with an explicit mu0.  The
     maximizer keeps the base subpopulation intact except for one tail of
     tau - mu0, cut at a threshold atom that may be kept fractionally.
-    A tau - mu0 that overflows where a tail is cut is a
-    :class:`NonFiniteResult`.
 
     Returns a (:class:`ValidityReport`, :class:`TrimSolution`) pair.
     """
@@ -334,8 +335,6 @@ def fixed_tau_internal_validity(design_or_sample, mu0=None):
     elif abs(mu0 - e0) <= prog.tol:  # the balance test at f = q
         kept, inclusion = 1.0, np.ones_like(values)
         trim = TrimSolution("none", math.nan, 1.0, 1.0, e0)
-    elif not np.isfinite(t).all():
-        raise NonFiniteResult(f"tau - mu0 overflows at mu0={mu0!r}")
     elif mu0 < e0:
         alpha, kept, frac, inclusion = _trim_ascending(t, prog.q, prog.tol)
         trim = TrimSolution("above", alpha, kept, frac, e0)

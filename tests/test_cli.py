@@ -693,6 +693,20 @@ BAD_INPUTS = {
                                        "2,0.5,1.7e308,1,2\n"},
                              ("figure-data", "--which", "fig2", "--design",
                               "d.csv", "--json", "r.json"), "default mu0"),
+    "fig2-undefined-estimand": ({"d.csv": "label,p,a,w0,tau\nx,0.5,1,1,1\n"
+                                          "y,0.5,-1,1,2\n"},
+                                ("figure-data", "--which", "fig2", "--design",
+                                 "d.csv", "--json", "r.json"),
+                                "error: E[a|W0=1] = 0; the estimand is "
+                                "undefined\n"),
+    "fig2-contributing-cell-without-tau": (
+        {"d.csv": "label,p,a,w0,tau\nx,0.5,1,1,1\ny,0.5,1,1,\n"},
+        ("figure-data", "--which", "fig2", "--design", "d.csv", "--json",
+         "r.json"), "error: tau missing on contributing cells: ['y']\n"),
+    "overflowing-tau-minus-mu0": (
+        {"d.csv": "label,p,a,w0,tau\nx,0.9,1,1,1e308\ny,0.1,1,1,-1.7e308\n"},
+        ("audit", "--design", "d.csv", "--json", "r.json"),
+        "error: tau - mu0 overflows at mu0=7.3e+307\n"),
     "infinite-panel-outcome": ({"p.csv": "unit,g,y1,y2\nu1,2,inf,1\n"
                                          "u2,inf,0,1\n"},
                                ("audit", "--family", "twfe_h", "--panel",

@@ -375,19 +375,22 @@ class TestCdhHConsistency:
 @st.composite
 def group_distributions(draw):
     """T in 2..60, with or without a never-treated group, some shares
-    zero or left out, the dict in a shuffled order."""
+    zero (of either sign), subnormal or left out, the dict in a shuffled
+    order; the shares of 1e-3 and more are scaled to sum to one."""
     t = draw(st.integers(2, 60))
     groups = list(range(2, t + 1)) + ([math.inf] if draw(st.booleans()) else [])
-    weights = draw(st.lists(st.just(0.0) | st.floats(1e-3, 10.0),
+    tiny = st.sampled_from([0.0, -0.0]) | st.floats(1e-320, 2.2e-308)
+    weights = draw(st.lists(tiny | st.floats(1e-3, 10.0),
                             min_size=len(groups), max_size=len(groups)))
-    if sum(weights) == 0:
+    if max(weights) < 1e-3:
         weights[0] = 1.0
     keep = draw(st.lists(st.booleans(), min_size=len(groups),
                          max_size=len(groups)))
     order = draw(st.permutations(range(len(groups))))
-    total = sum(weights)
-    return GroupDistribution(t, {groups[i]: weights[i] / total for i in order
-                                 if keep[i] or weights[i] > 0})
+    total = sum(w for w in weights if w >= 1e-3)
+    return GroupDistribution(t, {
+        groups[i]: weights[i] / total if weights[i] >= 1e-3 else weights[i]
+        for i in order if keep[i] or weights[i] > 0})
 
 
 def compensated_sum(values, start=0):
@@ -423,8 +426,9 @@ def test_twfe_builders_equal_the_loop_references(build, reference, gd,
             return
         got = build(gd)
         assert got.labels == expected.labels
-        for column in ("p", "a", "w0"):
-            assert np.array_equal(getattr(got, column), getattr(expected, column))
+        for column in ("p", "a", "w0"):  # -0.0 and 0.0 differ in bytes
+            assert (getattr(got, column).tobytes()
+                    == getattr(expected, column).tobytes())
         for attr in ("groups", "times"):
             want = getattr(expected, attr)
             assert getattr(got, attr) == want

@@ -1,14 +1,17 @@
-"""Memory of the micro-data path.
+"""Memory of the micro-data path and of the TWFE builders.
 
 The CSV writer, the reader (of a plain file, of one whose first or last
 label is quoted, and of a pipe), the estimator and the bootstrap hold
 a bounded block of Python objects beyond the arrays they return or
-evaluate whole.  Each test takes the tracemalloc peak of one call at two
-sizes and bounds how much it grows by a small multiple of how much those
-arrays grow.  A string kept per row, about 50 bytes a row or more,
-exceeds every bound; so do the file's text and a str array of labels.
+evaluate whole; the time-constant TWFE builder holds vectors over its
+periods, not a matrix of periods by groups.  Each test takes the
+tracemalloc peak of one call at two sizes and bounds how much it grows
+by a small multiple of how much those arrays grow.  A string kept per
+row, about 50 bytes a row or more, exceeds every bound; so do the
+file's text and a str array of labels.
 """
 
+import math
 import os
 import shutil
 import sys
@@ -20,6 +23,7 @@ import pytest
 
 from estimand_audit.data_io import (DgpSpec, MicroSample, load_micro, load_panel,
                                     simulate)
+from estimand_audit.designs import GroupDistribution, twfe_h_design
 from estimand_audit.inference import (
     BootstrapConfig,
     bootstrap_ci,
@@ -174,3 +178,16 @@ def test_bootstrap_holds_its_perturbations_and_a_block(samples):
     # the draws, and the (B, 3, K) perturbations they are evaluated on
     held = (large.draws.nbytes - small.draws.nbytes) * (1 + 3 * K)
     assert high - low <= 2 * held
+
+
+def test_twfe_h_holds_vectors_of_its_periods():
+    sizes, peaks = [], []
+    for t in (500, 2000):  # one adoption group per period
+        gd = GroupDistribution(t, {**{g: 1 / t for g in range(2, t + 1)},
+                                   math.inf: 1 / t})
+        design, peak = traced_peak(lambda: twfe_h_design(gd))
+        sizes.append(design.p.nbytes + design.a.nbytes + design.w0.nbytes)
+        peaks.append(peak)
+    # F(t), its running sums and one group's tail at a time: about 10
+    # times the cells' growth, where (T, G) masks are about 2,500 times
+    assert peaks[1] - peaks[0] <= 50 * (sizes[1] - sizes[0])

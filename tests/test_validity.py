@@ -11,6 +11,7 @@ before the closed forms were implemented:
 """
 
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -42,6 +43,7 @@ from estimand_audit.errors import (
     MissingNumericLabels,
     MissingTau,
     NegativeBound,
+    NonFiniteResult,
 )
 from estimand_audit.validity import (
     TauSample,
@@ -456,14 +458,23 @@ class TestFixedTauLp:
             fixed_tau_lp(d, mu0)
 
     def test_an_overflowing_program_ends_in_an_audit_error(self):
-        # t = tau - mu0 overflows to -inf: under the CLI's errstate, t @ f
-        # turns NaN, every cell leaves the run and the iteration gives up
-        d = cell_table(("a", "b"), (0.5, 0.5), (1.0, 1.0),
-                       tau=(-1.7e308, 1.7e308))
+        # t = tau - mu0 overflows to -inf in a program that keeps a share,
+        # where a tail is cut and where mu0, the design's own estimand,
+        # keeps the whole base: the program the solvers share refuses it
+        programs = [
+            (cell_table(("a", "b"), (0.5, 0.5), (1.0, 1.0),
+                        tau=(-1.7e308, 1.7e308)), 1e308, "1e+308"),
+            (cell_table(("x", "y"), (0.9, 0.1), (1.0, 1.0),
+                        tau=(1e308, -1.7e308)), None, "7.3e+307"),
+        ]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            with pytest.raises(AuditError, match="^the mass-reduction "
-                               "iteration failed to converge$"):
-                fixed_tau_lp(d, 1e308)
+            for d, mu0, shown in programs:
+                for solve in (fixed_tau_internal_validity, fixed_tau_lp,
+                              fixed_tau_bruteforce, reference_fixed_tau_lp,
+                              check_fixed_existence):
+                    with pytest.raises(NonFiniteResult, match="^%s$" % re.escape(
+                            f"tau - mu0 overflows at mu0={shown}")):
+                        solve(d, mu0)
 
     def test_ties_in_tau(self):
         d = cell_table(("a", "b", "c"), (0.25, 0.5, 0.25), (1.0, 1.0, 1.0),
