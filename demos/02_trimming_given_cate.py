@@ -50,7 +50,8 @@ assert abs(trim.kept_mass - lp) <= 1e-9
 assert abs(trim.kept_mass - bf) <= 1e-9
 
 # An infeasible target: no subpopulation averages to a value outside
-# the range of cell effects, so the kept share collapses to zero.
+# the range of cell effects, so every solver's kept share is zero.
 report, trim = fixed_tau_internal_validity(design, 9.0)
 print("\ntarget outside effect range -> exists:", report.exists,
       "kept:", trim.kept_mass)
+assert fixed_tau_lp(design, 9.0) == fixed_tau_bruteforce(design, 9.0) == 0.0

@@ -119,6 +119,24 @@ def _whole(value, least):
     return int(value) if whole else None
 
 
+def _root_seed(value, error):
+    """A root seed as an int: a nonnegative whole number, else `error`."""
+    seed = _whole(value, 0)
+    if seed is None:
+        raise error(f"seed must be a nonnegative whole number, got {value!r}")
+    return seed
+
+
+def _sample_size(n, error):
+    """A number of draws as an int: a whole number of at least 1, else
+    `error`."""
+    size = _whole(n, 1)
+    if size is None:
+        raise error("n must be at least 1" if _whole(n, -math.inf) is not None
+                    else f"n must be a whole number, got {n!r}")
+    return size
+
+
 class _LabelledTable:
     """CSV round trip of a table's labels and its float columns
     `_COLUMNS`, in which a missing `tau` is an empty field."""
@@ -246,7 +264,8 @@ class SubpopulationRule:
         inc = _as_float_array(self.inclusion, "inclusion")
         if np.any(inc < -MASS_TOL) or np.any(inc > 1 + MASS_TOL):
             raise InvalidDesign("inclusion probabilities must lie in [0, 1]")
-        _store(self, inclusion=np.clip(inc, 0.0, 1.0))
+        _store(self, inclusion=np.clip(inc, 0.0, 1.0),
+               seed=_root_seed(self.seed, InvalidDesign))
 
 
 @dataclass(frozen=True)
@@ -350,8 +369,7 @@ def realize_subpop(design, rule, n):
     inc = np.asarray(rule.inclusion, dtype=float)
     if inc.shape[0] != design.k:
         raise DimensionMismatch("inclusion length does not match the design")
-    if n < 1:
-        raise InvalidDesign("n must be at least 1")
+    n = _sample_size(n, InvalidDesign)
     rng = rng_stream(rule.seed, "realize-subpop")
     cells = rng.choice(design.k, size=n, p=design.p)
     w0 = (rng.random(n) < design.w0[cells]).astype(np.int8)
@@ -364,13 +382,12 @@ def realize_subpop(design, rule, n):
     return out
 
 
-def _conditional_tau(design, *, context="the fixed-CATE audit"):
+def _conditional_tau(design):
     """CATE values and masses conditional on W0=1, validating presence,
     and the mask of the base-subpopulation cells they come from."""
     sub = design.w0_mass > 0
     if design.tau is None or np.any(np.isnan(design.tau[sub])):
-        raise MissingTau(f"tau is required on every base-subpopulation cell "
-                         f"for {context}")
+        raise MissingTau("tau is required on every base-subpopulation cell")
     q = design.w0_mass[sub]
     return design.tau[sub], q / q.sum(), sub
 

@@ -31,9 +31,8 @@ from .cells import (CellTable, _BadField, _fields, clip_share, moment_summary,
                     mu, normalize_sign, open_atomic, tau_col, write_csv)
 from .data_io import DgpSpec, load_micro, load_panel, panel_to_group_distribution, simulate
 from .designs import ESTIMAND_FAMILIES, GroupDistribution, IvCellTable, PropensityTable
-from .errors import (AuditError, InfeasibleProgram, InstanceTooLarge,
-                     InvalidDesign, InvalidSpec, MissingTau, NonFiniteResult,
-                     ParseError)
+from .errors import (AuditError, InstanceTooLarge, InvalidDesign, InvalidSpec,
+                     MissingTau, NonFiniteResult, ParseError)
 from .inference import (
     ESTIMABLE,
     BootstrapConfig,
@@ -191,11 +190,9 @@ def _num(value, fmt="%.6g"):
 
 def _fixed_tau_payload(design, mu0, warnings):
     report, trim = fixed_tau_internal_validity(design, mu0)
-    solvers = {"closed_form": trim.kept_mass}
-    try:
-        solvers["mass_reduction"] = fixed_tau_lp(design, mu0)
-    except InfeasibleProgram:
-        solvers["mass_reduction"] = 0.0
+    solvers = {"closed_form": trim.kept_mass,
+               "mass_reduction": fixed_tau_lp(design, mu0)}
+    if not report.exists:
         warnings.append("mu0 lies outside the range of the supplied tau values")
     try:
         solvers["brute_force"] = fixed_tau_bruteforce(design, mu0)

@@ -25,8 +25,9 @@ from .cells import (
     _as_float_array,
     _BadField,
     _reals,
+    _root_seed,
+    _sample_size,
     _store,
-    _whole,
     Coded,
     binary_col,
     float_col,
@@ -326,11 +327,7 @@ class DgpSpec:
             raise InvalidSpec(str(exc)) from None
         if self.noise_scale < 0:
             raise InvalidSpec("noise_scale must be nonnegative")
-        seed = _whole(self.seed, 0)
-        if seed is None:
-            raise InvalidSpec(f"seed must be a nonnegative whole number, "
-                              f"got {self.seed!r}")
-        _store(self, seed=seed)
+        _store(self, seed=_root_seed(self.seed, InvalidSpec))
         for c in self.cells if self.family == "iv" else ():
             if c.pa < 0 or c.pc + c.pa > 1:
                 raise InvalidSpec(f"cell {c.label!r}: invalid strata shares")
@@ -414,8 +411,6 @@ class DgpSpec:
                        cells=cells, t=payload.get("t"),
                        trend_slope=float(payload.get("trend_slope", 0.0)),
                        groups=groups)
-        except InvalidSpec:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidSpec(f"malformed DGP specification: {exc}") from exc
 
@@ -439,10 +434,9 @@ def simulate(spec, n, seed=None):
     :class:`PanelData` for the staggered family.  Reproducible: the same
     (spec, n, seed) triple always yields the same data.
     """
-    if n < 1:
-        raise InvalidSpec("n must be at least 1")
-    rng = rng_stream(spec.seed if seed is None else seed,
-                     "simulate", spec.family)
+    n = _sample_size(n, InvalidSpec)
+    root = spec.seed if seed is None else _root_seed(seed, InvalidSpec)
+    rng = rng_stream(root, "simulate", spec.family)
     if spec.family == "staggered_did":
         return _simulate_panel(spec, n, rng)
     mass = np.asarray([c.mass for c in spec.cells], dtype=float)

@@ -47,10 +47,6 @@ class NegativeBound(AuditError):
     """A bound parameter that must be nonnegative is negative."""
 
 
-class InfeasibleProgram(AuditError):
-    """The trimming linear program has no feasible point with positive mass."""
-
-
 class InstanceTooLarge(AuditError):
     """Brute-force enumeration refused: too many cells."""
 

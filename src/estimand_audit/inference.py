@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .cells import (CellTable, _BLOCK_FIELDS, _store, _whole, clip_share,
-                    rng_stream)
+from .cells import (CellTable, _BLOCK_FIELDS, _reals, _root_seed, _store,
+                    _whole, clip_share, rng_stream)
 from .designs import ESTIMAND_FAMILIES, IvCellTable, PropensityTable
 from .errors import (
     AllCellsTrimmed,
@@ -76,17 +76,14 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        b, seed = _whole(self.b, 1), _whole(self.seed, 0)
+        b = _whole(self.b, 1)
         if b is None:
             raise ValueError("b must be a positive whole number, got %r" % (self.b,))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not (0 < self.c0 < math.inf and 0 < self.xi0 < math.inf):
             raise ValueError("c0 and xi0 must be finite and positive")
-        if seed is None:
-            raise ValueError("seed must be a nonnegative whole number, got %r"
-                             % (self.seed,))
-        _store(self, b=b, seed=seed)
+        _store(self, b=b, seed=_root_seed(self.seed, ValueError))
 
     def c_n(self, n):
         """Trimming threshold at sample size `n`."""
@@ -142,6 +139,8 @@ class LimitFunctional:
                   for name in ("coef_a", "coef_w0", "coef_p")})
         if not self.psi_set:
             raise InvalidDesign("near-maximizer set is empty")
+        if not all(0 <= i < self.k for i in self.psi_set):
+            raise InvalidDesign(f"near-maximizer cells must lie in 0..{self.k - 1}")
 
     @property
     def k(self):
@@ -375,7 +374,7 @@ def psi_apply(lf, z):
     -------
     float, or an (m,) array for a batch
     """
-    z = np.asarray(z, dtype=float)
+    z = _reals(z, InvalidDesign, "perturbation values must be numbers")
     if z.ndim not in (2, 3) or z.shape[-2:] != (3, lf.k):
         raise DimensionMismatch(
             "expected a perturbation of shape (3, %d) or (m, 3, %d), got %s"

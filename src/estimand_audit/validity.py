@@ -26,29 +26,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import (
-    CellTable,
     SubpopulationRule,
-    _as_float_array,
     _conditional_tau,
-    _masses,
     _mean,
-    _store,
     _weight_scale,
     mu,
     normalize_sign,
 )
 from .errors import (
     AuditError,
-    InfeasibleProgram,
     InstanceTooLarge,
-    InvalidDesign,
     MissingNumericLabels,
     NegativeBound,
     NonFiniteResult,
 )
 
 __all__ = [
-    "TauSample",
     "TrimSolution",
     "ValidityReport",
     "adversarial_sign_check",
@@ -93,22 +86,6 @@ class ValidityReport:
             if self.inclusion is None
             else self.inclusion.inclusion.tolist(),
         }
-
-
-@dataclass(frozen=True)
-class TauSample:
-    """Empirical CATE distribution conditional on the base subpopulation:
-    values with matching probability masses.  `pop_w0` carries P(W0=1)
-    when known so representativeness can be reported."""
-
-    values: np.ndarray
-    masses: np.ndarray
-    pop_w0: float = 1.0
-
-    def __post_init__(self):
-        values = _as_float_array(self.values, "values")
-        masses = _masses(self.masses, "masses", len(values))
-        _store(self, values=values, masses=masses, pop_w0=float(self.pop_w0))
 
 
 @dataclass(frozen=True)
@@ -170,7 +147,7 @@ def check_fixed_existence(design, mu0=None):
     """True iff the given-tau program keeps a positive share: a
     representation exists for this particular tau, as mu0 lies in tau's
     range up to the balance tolerance (see `_program`)."""
-    return _program(design, mu0, context="the existence check").inside
+    return _program(design, mu0).inside
 
 
 def check_linear_cate_existence(design):
@@ -277,30 +254,19 @@ def _trim_ascending(t, q, tol):
 _Program = namedtuple("_Program", "values q sub mu0 t scale tol inside")
 
 
-def _program(source, mu0, context="the size program"):
-    """The given-tau program that the three solvers share, of a
-    :class:`CellTable` (mu0 defaults to its estimand) or a
-    :class:`TauSample` (mu0 is required): the effects on the base
-    subpopulation (`values`) with their conditional masses `q`, the mask
-    of the cells they sit in (`sub`), the centred effects t = values -
-    mu0, `scale` = |t| @ q, the one tie and balance tolerance `tol` =
-    1e-12 (E|tau| + |mu0|), the size of the program's sums, which covers
-    the rounding of tau - mu0 and ignores an outlier without mass, and
-    whether a positive share is kept (`inside`): mu0 is finite, and t has
-    both signs (or a zero) or the atom of t nearest zero is within tol;
-    an `inside` t that overflows is a :class:`NonFiniteResult`."""
-    if isinstance(source, TauSample):
-        if mu0 is None:
-            raise InvalidDesign("mu0 is required with a sample input")
-        values, q = source.values, source.masses
-        sub = np.ones(len(values), dtype=bool)
-    elif isinstance(source, CellTable):
-        values, q, sub = _conditional_tau(source, context=context)
-        if mu0 is None:
-            mu0 = mu(source)
-    else:
-        raise TypeError("expected a CellTable or a TauSample")
-    mu0 = float(mu0)
+def _program(design, mu0):
+    """The given-tau program that the three solvers share, of a design
+    (mu0 defaults to its estimand): the effects on the base subpopulation
+    (`values`) with their conditional masses `q`, the mask of the cells
+    they sit in (`sub`), the centred effects t = values - mu0, `scale` =
+    |t| @ q, the one tie and balance tolerance `tol` = 1e-12 (E|tau| +
+    |mu0|), the size of the program's sums, which covers the rounding of
+    tau - mu0 and ignores an outlier without mass, and whether a positive
+    share is kept (`inside`): mu0 is finite, and t has both signs (or a
+    zero) or the atom of t nearest zero is within tol; an `inside` t that
+    overflows is a :class:`NonFiniteResult`."""
+    values, q, sub = _conditional_tau(design)
+    mu0 = float(mu(design) if mu0 is None else mu0)
     t = values - mu0
     tol = 1e-12 * _mean(np.abs(values), q) + 1e-12 * abs(mu0)
     lo, hi = t.min(), t.max()
@@ -313,18 +279,16 @@ def _program(source, mu0, context="the size program"):
                     bool(inside))
 
 
-def fixed_tau_internal_validity(design_or_sample, mu0=None):
+def fixed_tau_internal_validity(design, mu0=None):
     """Sharp size of the largest subpopulation matching the estimand for
-    the *given* CATE function.
-
-    Accepts either a :class:`CellTable` with tau (mu0 defaults to the
-    design's estimand) or a :class:`TauSample` with an explicit mu0.  The
-    maximizer keeps the base subpopulation intact except for one tail of
-    tau - mu0, cut at a threshold atom that may be kept fractionally.
+    the *given* CATE function of a design with tau; mu0 defaults to the
+    design's estimand.  The maximizer keeps the base subpopulation intact
+    except for one tail of tau - mu0, cut at a threshold atom that may be
+    kept fractionally.
 
     Returns a (:class:`ValidityReport`, :class:`TrimSolution`) pair.
     """
-    prog = _program(design_or_sample, mu0, context="the fixed-CATE audit")
+    prog = _program(design, mu0)
     values, mu0, t = prog.values, prog.mu0, prog.t
     e0 = _mean(values, prog.q)
     inclusion = None
@@ -347,7 +311,7 @@ def fixed_tau_internal_validity(design_or_sample, mu0=None):
         full[prog.sub] = inclusion
         rule = SubpopulationRule(full)
     report = ValidityReport(exists=rule is not None, p_internal=kept,
-                            p_representative=kept * design_or_sample.pop_w0,
+                            p_representative=kept * design.pop_w0,
                             a_max=math.nan, inclusion=rule)
     return report, trim
 
@@ -380,15 +344,13 @@ def fixed_tau_lp(design, mu0):
     order: all start there, each step changes only an end of the run,
     and a cell that leaves it is never picked again.  A step costs O(K),
     but the leading ones that zero their cell whatever the rounding
-    (`_decided_steps`) are taken at once: O(K log K), the same bits."""
+    (`_decided_steps`) are taken at once: O(K log K), the same bits.  A
+    program that is not `inside` gives 0.0, as the closed form does."""
     prog = _program(design, mu0)
-    values, mu0, s_tol = prog.values, prog.mu0, prog.tol
     if not prog.inside:
-        raise InfeasibleProgram(
-            f"mu0={mu0!r} lies outside the CATE range "
-            f"[{values.min()!r}, {values.max()!r}]"
-        )
-    order = np.argsort(values, kind="stable")
+        return 0.0
+    s_tol = prog.tol
+    order = np.argsort(prog.values, kind="stable")
     t, q = prog.t[order], prog.q[order]
     f = q.copy()
     top = _decided_steps(t, q, prog.scale, s_tol)

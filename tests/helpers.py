@@ -161,16 +161,13 @@ def reference_twfe_h_design(gd):
 
 def reference_fixed_tau_lp(design, mu0):
     """Mass reduction that rescans every cell for the ones at capacity."""
-    from estimand_audit.errors import AuditError, InfeasibleProgram
+    from estimand_audit.errors import AuditError
     from estimand_audit.validity import _program
 
     prog = _program(design, mu0)
     values, q, mu0, tol = prog.values, prog.q, prog.mu0, prog.tol
     if not prog.inside:
-        raise InfeasibleProgram(
-            f"mu0={mu0!r} lies outside the CATE range "
-            f"[{values.min()!r}, {values.max()!r}]"
-        )
+        return 0.0
     order = np.argsort(values, kind="stable")
     t = values[order] - mu0
     q = q[order]

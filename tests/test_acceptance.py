@@ -30,7 +30,6 @@ from estimand_audit.bounds import (
 from estimand_audit.cells import cell_table, discrete_weights, mu, rng_stream
 from estimand_audit.data_io import DgpSpec, simulate
 from estimand_audit.designs import GroupDistribution, twfe_gb_weights, twfe_h_design
-from estimand_audit.errors import InfeasibleProgram
 from estimand_audit.inference import (
     BootstrapConfig,
     EstimatedDesign,
@@ -185,12 +184,8 @@ class TestAcceptance:
                 lo, hi = float(vals.min()), float(vals.max())
                 mu0 = float(rng.uniform(lo, hi)) if hi > lo else lo
             report, trim = fixed_tau_internal_validity(d, mu0)
-            kept = [trim.kept_mass]
-            try:
-                kept.append(fixed_tau_lp(d, mu0))
-            except InfeasibleProgram:
-                kept.append(0.0)
-            kept.append(fixed_tau_bruteforce(d, mu0))
+            kept = [trim.kept_mass, fixed_tau_lp(d, mu0),
+                    fixed_tau_bruteforce(d, mu0)]
             assert max(kept) - min(kept) <= 1e-9
             if report.exists:
                 incl = report.inclusion.inclusion[sub]

@@ -291,6 +291,27 @@ class TestSubpopulationRule:
         with pytest.raises(InvalidDesign, match="^n must be at least 1$"):
             realize_subpop(binary_design(), rule, 0)
 
+    @pytest.mark.parametrize("n,message", [
+        (-3, "n must be at least 1"),
+        (2.5, "n must be a whole number, got 2.5"),
+        ("10", "n must be a whole number, got '10'"),
+    ])
+    def test_realizes_a_whole_number_of_units(self, n, message):
+        rule = SubpopulationRule(inclusion=(1.0, 1.0))
+        with pytest.raises(InvalidDesign, match=f"^{re.escape(message)}$"):
+            realize_subpop(binary_design(), rule, n)
+
+    def test_a_whole_float_count_is_that_many_units(self):
+        rule = SubpopulationRule(inclusion=(1.0, 0.5), seed=3)
+        draws = realize_subpop(binary_design(), rule, 20.0)
+        assert np.array_equal(draws, realize_subpop(binary_design(), rule, 20))
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
+    def test_seed_is_a_nonnegative_whole_number(self, seed):
+        with pytest.raises(InvalidDesign, match="^%s$" % re.escape(
+                f"seed must be a nonnegative whole number, got {seed!r}")):
+            SubpopulationRule(inclusion=(1.0,), seed=seed)
+
 
 class TestSubpopProfile:
     def test_worked_binary_example(self):

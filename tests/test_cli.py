@@ -266,6 +266,39 @@ class TestAuditFixedTau:
             assert brute is None and warnings == [
                 "brute-force cross-check skipped: design has more than 12 cells"]
 
+    @pytest.mark.parametrize("mu0", [10, -10])
+    def test_mu0_outside_tau_keeps_nothing_with_one_warning(self, tmp_path,
+                                                            mu0):
+        src = tmp_path / "three.csv"
+        src.write_text("label,p,a,w0,tau\n"
+                       "a,0.25,1,1,1\nb,0.5,1,1,2\nc,0.25,1,1,3\n")
+        out = tmp_path / "r.json"
+        assert run("audit", "--design", src, "--mu0", mu0,
+                   "--json", out, "--quiet") == 0
+        payload = json.loads(out.read_text())
+        ft = payload["fixed_tau"]
+        assert ft["solvers"] == dict.fromkeys(
+            ("closed_form", "mass_reduction", "brute_force"), 0.0)
+        assert ft["agreement"] is True
+        assert payload["diagnostics"]["warnings"] == [
+            "mu0 lies outside the range of the supplied tau values"]
+
+    def test_mu0_outside_tau_on_13_base_cells_gets_both_warnings(self,
+                                                                 tmp_path):
+        rows = zip(range(13), [1 / 16] * 12 + [0.25], [0] * 9 + [1] * 4)
+        src = tmp_path / "d.csv"
+        src.write_text("label,p,a,w0,tau\n" + "".join(
+            "c%d,%r,1,1,%d\n" % row for row in rows))
+        out = tmp_path / "r.json"
+        assert run("audit", "--design", src, "--mu0", 10,
+                   "--json", out, "--quiet") == 0
+        payload = json.loads(out.read_text())
+        assert payload["fixed_tau"]["solvers"] == {
+            "closed_form": 0.0, "mass_reduction": 0.0, "brute_force": None}
+        assert payload["diagnostics"]["warnings"] == [
+            "mu0 lies outside the range of the supplied tau values",
+            "brute-force cross-check skipped: design has more than 12 cells"]
+
     def test_effects_near_2_to_the_46_keep_the_solvers_in_agreement(
             self, tmp_path):
         # the balance tolerance is on tau's scale, above 100 here, so it

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -567,6 +568,21 @@ class TestSimulate:
     def test_needs_a_unit(self):
         with pytest.raises(InvalidSpec, match="^n must be at least 1$"):
             simulate(benchmark_spec(), 0)
+
+    @pytest.mark.parametrize("n,seed,message", [
+        (2.5, None, "n must be a whole number, got 2.5"),
+        (math.nan, None, "n must be a whole number, got nan"),
+        (5, -1, "seed must be a nonnegative whole number, got -1"),
+        (5, 2.5, "seed must be a nonnegative whole number, got 2.5"),
+    ])
+    def test_count_and_seed_are_whole_numbers(self, n, seed, message):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            simulate(benchmark_spec(), n, seed=seed)
+
+    def test_whole_floats_draw_as_their_ints(self):
+        spec = benchmark_spec()
+        assert csv_sha256(simulate(spec, 40.0, seed=3.0)) == csv_sha256(
+            simulate(spec, 40, seed=3))
 
     @settings(max_examples=60, deadline=None)
     @given(masses=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),

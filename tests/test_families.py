@@ -238,7 +238,7 @@ PUBLIC_NAMES = [
     "EstimatedDesign", "GroupDistribution", "Interval", "IvCellTable",
     "LimitFunctional", "MicroSample", "MomentSummary", "PanelCellTable",
     "PanelData", "PropensityTable", "SignDecomposition", "SubpopulationRule",
-    "SupportBounds", "TauSample", "TrimSolution", "ValidityReport",
+    "SupportBounds", "TrimSolution", "ValidityReport",
     "adversarial_sign_check", "ate_bounds_from_validity", "ate_bounds_general",
     "bootstrap_ci", "cell_table", "check_bounded_difference_existence",
     "check_fixed_existence", "check_linear_cate_existence",

@@ -1,6 +1,7 @@
 """Tests for plug-in estimation of the maximal-subpopulation share, the
 limit functional, and the directional bootstrap."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -178,6 +179,13 @@ class TestEstimateUniformValidity:
                            match="^near-maximizer set is empty$"):
             LimitFunctional(np.ones(2), np.ones(2), np.ones(2), 1.0, ())
 
+    @pytest.mark.parametrize("psi_set", [(-1,), (0, 2)])
+    def test_near_maximizer_set_is_cells_of_the_design(self, psi_set):
+        # a negative index would count from the end, k would be no cell
+        with pytest.raises(InvalidDesign, match="^%s$" % re.escape(
+                "near-maximizer cells must lie in 0..1")):
+            LimitFunctional(np.ones(2), np.ones(2), np.ones(2), 1.0, psi_set)
+
     def test_raw_estimate_can_exceed_one(self):
         # the global weight max sits in a trimmed cell: the reported ratio
         # uses the untrimmed max, pushing the raw value above 1
@@ -247,6 +255,15 @@ class TestPsiFunctional:
         lf = psi_hat_build(ed, CFG)
         with pytest.raises(DimensionMismatch):
             psi_apply(lf, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("z", [np.full((3, 2), 1 + 1j),
+                                   [["x", 0], [0, 0], [0, 0]]])
+    def test_a_perturbation_of_other_numbers_is_refused(self, z):
+        # numpy would cut 1 + 1j to its real part with a ComplexWarning
+        lf = psi_hat_build(estimate_design(benchmark_sample(), "ols_ate"), CFG)
+        with pytest.raises(InvalidDesign,
+                           match="^perturbation values must be numbers$"):
+            psi_apply(lf, z)
 
 
 class TestPsiSetConsistency:

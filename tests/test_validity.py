@@ -37,7 +37,6 @@ from estimand_audit.designs import (
 from estimand_audit.errors import (
     AuditError,
     DegenerateWeights,
-    InfeasibleProgram,
     InstanceTooLarge,
     InvalidDesign,
     MissingNumericLabels,
@@ -46,7 +45,6 @@ from estimand_audit.errors import (
     NonFiniteResult,
 )
 from estimand_audit.validity import (
-    TauSample,
     adversarial_sign_check,
     check_bounded_difference_existence,
     check_fixed_existence,
@@ -417,7 +415,9 @@ class TestFixedTauInternalValidity:
             assert fixed.p_internal >= uniform.p_internal - 1e-10
 
     def test_tau_sample_input(self):
-        sample = TauSample(values=(0.0, 1.0), masses=(0.5, 0.5))
+        # a tau distribution without cells is audited as a design
+        sample = CellTable(("0", "1"), (0.5, 0.5), np.ones(2),
+                           w0=np.full(2, 1.0), tau=(0.0, 1.0))
         rep, trim = fixed_tau_internal_validity(sample, mu0=0.25)
         assert rep.p_internal == pytest.approx(2 / 3, abs=1e-12)
         assert math.isnan(rep.a_max)
@@ -448,14 +448,12 @@ class TestFixedTauLp:
 
     def test_infeasible(self):
         d = binary_design(tau=(3.0, 1.0))
-        with pytest.raises(InfeasibleProgram):
-            fixed_tau_lp(d, 5.0)
+        assert fixed_tau_lp(d, 5.0) == 0.0
 
     @pytest.mark.parametrize("mu0", [math.inf, -math.inf])
     def test_infinite_target_is_infeasible(self, mu0):
         d = cell_table(("a", "b"), (0.5, 0.5), (1.0, 1.0), tau=(1.0, 2.0))
-        with pytest.raises(InfeasibleProgram):
-            fixed_tau_lp(d, mu0)
+        assert fixed_tau_lp(d, mu0) == 0.0
 
     def test_an_overflowing_program_ends_in_an_audit_error(self):
         # t = tau - mu0 overflows to -inf in a program that keeps a share,
@@ -484,25 +482,6 @@ class TestFixedTauLp:
         assert fixed_tau_lp(d, 0.5) == pytest.approx(
             fixed_tau_bruteforce(d, 0.5), abs=1e-12
         )
-
-
-class TestGivenTauProgramInputs:
-    """The guards of the program the three given-tau solvers share."""
-
-    @pytest.mark.parametrize("solver", [fixed_tau_internal_validity,
-                                        fixed_tau_lp, fixed_tau_bruteforce])
-    def test_a_sample_needs_mu0(self, solver):
-        sample = TauSample(values=(0.0, 1.0), masses=(0.5, 0.5))
-        with pytest.raises(InvalidDesign,
-                           match="^mu0 is required with a sample input$"):
-            solver(sample, None)
-
-    @pytest.mark.parametrize("solver", [fixed_tau_internal_validity,
-                                        fixed_tau_lp, fixed_tau_bruteforce])
-    def test_another_source_is_refused(self, solver):
-        with pytest.raises(TypeError,
-                           match="^expected a CellTable or a TauSample$"):
-            solver({"tau": (0.0, 1.0)}, 0.5)
 
 
 @pytest.mark.parametrize("tied", [(0.001, 0.2), (0.2, 0.001)])
@@ -596,17 +575,6 @@ def test_e0_is_one_mean_and_a_sample_audits_like_its_design(program):
     design, mu0 = program
     report, trim = fixed_tau_internal_validity(design, mu0)
     assert trim.e0.hex() == moment_summary(design).e0.hex()
-    values, q, sub = validity._conditional_tau(design)
-    sample = TauSample(values, q, pop_w0=design.pop_w0)
-    s_report, s_trim = fixed_tau_internal_validity(
-        sample, mu(design) if mu0 is None else mu0)
-    assert s_trim.to_json_dict() == trim.to_json_dict()
-    assert (s_report.exists, s_report.p_internal, s_report.p_representative) \
-        == (report.exists, report.p_internal, report.p_representative)
-    if report.inclusion is not None:
-        full = report.inclusion.inclusion
-        assert np.array_equal(full[sub], s_report.inclusion.inclusion)
-        assert not full[~sub].any()
 
 
 def perfbench_like_design(k=20000, seed=20):
@@ -727,8 +695,7 @@ class TestFixedTauBruteforce:
         assert not check_fixed_existence(d, 3 + 1e-10)
         assert not report.exists and report.p_internal == 0.0
         assert fixed_tau_bruteforce(d, 3 + 1e-10) == 0.0
-        with pytest.raises(InfeasibleProgram):
-            fixed_tau_lp(d, 3 + 1e-10)
+        assert fixed_tau_lp(d, 3 + 1e-10) == 0.0
 
     def test_mu0_within_the_tolerance_of_the_range_keeps_the_nearest_cell(
             self):
@@ -851,14 +818,10 @@ def small_programs(draw):
 
 def _given_tau_shares(design, mu0):
     """The closed form's, the mass reduction's and brute force's shares,
-    with the closed form's report and trim; a mu0 outside tau's range
-    gives the mass reduction 0, as in the CLI."""
+    with the closed form's report and trim."""
     report, trim = fixed_tau_internal_validity(design, mu0)
-    try:
-        lp = fixed_tau_lp(design, mu0)
-    except InfeasibleProgram:
-        lp = 0.0
-    return (report.p_internal, lp, fixed_tau_bruteforce(design, mu0)), report, trim
+    return (report.p_internal, fixed_tau_lp(design, mu0),
+            fixed_tau_bruteforce(design, mu0)), report, trim
 
 
 @settings(max_examples=400, deadline=None)
@@ -1030,26 +993,23 @@ def test_given_tau_solvers_follow_the_exact_rational_rule(program):
         event("an exact sum within rounding of the tolerance")
         assume(False)
     report, trim = fixed_tau_internal_validity(design, mu0)
-    try:
-        lp = fixed_tau_lp(design, mu0)
-    except InfeasibleProgram:
-        lp = None
+    lp = fixed_tau_lp(design, mu0)
     shares = {"closed form": report.p_internal, "mass reduction": lp}
     if k <= validity.BRUTE_FORCE_LIMIT:
         shares["brute force"] = fixed_tau_bruteforce(design, mu0)
     exists = exact.share > 0
     assert report.exists is check_fixed_existence(design, mu0) is exists
-    assert (lp is not None) is exists
+    assert (lp > 0) is exists
     bound = g * (2 + (0 if exact.alpha is None
                       else 2 * float(exact.scale / exact.alpha)))
     for name, share in shares.items():
         # brute force's vertices keep whole cells within tol in any
         # combination, so it may reach up to the relaxed share
-        require_close(name, share or 0.0, exact.share, bound, above=(
+        require_close(name, share, exact.share, bound, above=(
             exact.relaxed - exact.share if name == "brute force" else 0))
-        if (share or 0.0) > exact.share + bound:
+        if share > exact.share + bound:
             event("brute force keeps whole cells past the rule")
-        assert (share or 0.0) > 0 if exists else share in (None, 0.0)
+        assert share > 0 if exists else share == 0.0
     # mu, E0 and the uniform share, from the cells' exact products
     n, tau = design.k, [Fraction(t) for t in design.tau]
     m0 = [Fraction(w) * Fraction(p) for w, p in zip(design.w0, design.p)]
