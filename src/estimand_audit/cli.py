@@ -359,7 +359,7 @@ def cmd_bootstrap(args, parser):
         alpha=args.alpha,
         c0=args.c0,
         xi0=args.xi0,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     result = bootstrap_ci(sample, args.family, cfg)
     payload = {
@@ -439,8 +439,6 @@ def cmd_figure_data(args, parser):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=None,
-                        help="root seed for anything random")
     common.add_argument("--json", metavar="PATH", default=None,
                         help="also write the report as JSON")
     common.add_argument("--quiet", action="store_true",
@@ -496,6 +494,7 @@ def build_parser():
     p_boot.add_argument("--B", type=_count, default=400,
                         help="bootstrap replications")
     p_boot.add_argument("--alpha", type=_level, default=0.05)
+    p_boot.add_argument("--seed", type=_seed, default=0, help="root seed")
     p_boot.set_defaults(func=cmd_bootstrap)
 
     p_sim = sub.add_parser("simulate", parents=[common],
@@ -504,6 +503,8 @@ def build_parser():
     p_sim.add_argument("--n", required=True, type=_count)
     p_sim.add_argument("--out", metavar="CSV", default=None,
                        help="write here instead of stdout")
+    p_sim.add_argument("--seed", type=_seed, default=None,
+                       help="root seed (default: the spec's seed)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fig = sub.add_parser("figure-data", parents=[common],

@@ -234,10 +234,14 @@ def _column_design(table, family):
     """Design whose cells are the rows of `table`, weighted by `family`."""
     a, w0 = ESTIMAND_FAMILIES[family].weights(
         **{name: getattr(table, name) for name in table._COLUMNS[1:]})
-    # of these families only the complier share (w0 = pc) can vanish
-    if float(table.mass @ w0) <= 0:
+    return _weighted_design(table.labels, table.mass, a, w0)
+
+
+def _weighted_design(labels, mass, a, w0):
+    """Design of a family's weights; only w0 = pc can be zero in every cell."""
+    if float(mass @ w0) <= 0:
         raise NoCompliers("no cell has a positive complier share")
-    return CellTable(table.labels, table.mass, a, w0)
+    return CellTable(labels, mass, a, w0)
 
 
 def ols_ate_design(pt):

@@ -87,9 +87,5 @@ class NonFiniteResult(AuditError):
     """A computed report number overflowed or is undefined."""
 
 
-class InvariantViolation(AuditError):
-    """An internal invariant failed; this is a bug, not bad input."""
-
-
 class InvalidSupport(AuditError):
     """Support information is inconsistent (e.g. lower bound above upper)."""

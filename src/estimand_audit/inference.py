@@ -23,16 +23,15 @@ import math
 import numpy as np
 
 from .cells import (CellTable, _BLOCK_FIELDS, _reals, _root_seed, _store,
-                    _whole, clip_share, rng_stream)
-from .designs import ESTIMAND_FAMILIES, IvCellTable, PropensityTable
+                    _as_float_array, _whole, clip_share, rng_stream)
+from .designs import (ESTIMAND_FAMILIES, IvCellTable, PropensityTable,
+                      _weighted_design)
 from .errors import (
     AllCellsTrimmed,
     DegenerateWeights,
     DimensionMismatch,
     EmptyCellArm,
     InvalidDesign,
-    InvariantViolation,
-    NoCompliers,
     ResampleDegenerate,
     SchemaError,
 )
@@ -78,12 +77,15 @@ class BootstrapConfig:
     def __post_init__(self):
         b = _whole(self.b, 1)
         if b is None:
-            raise ValueError("b must be a positive whole number, got %r" % (self.b,))
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        if not (0 < self.c0 < math.inf and 0 < self.xi0 < math.inf):
-            raise ValueError("c0 and xi0 must be finite and positive")
-        _store(self, b=b, seed=_root_seed(self.seed, ValueError))
+            raise InvalidDesign("b must be a positive whole number, got %r" % (self.b,))
+        alpha, c0, xi0 = _as_float_array(
+            (self.alpha, self.c0, self.xi0), "alpha, c0 and xi0", 3).tolist()
+        if not 0.0 < alpha < 1.0:
+            raise InvalidDesign("alpha must lie strictly between 0 and 1")
+        if not (c0 > 0 and xi0 > 0):
+            raise InvalidDesign("c0 and xi0 must be finite and positive")
+        _store(self, b=b, alpha=alpha, c0=c0, xi0=xi0,
+               seed=_root_seed(self.seed, InvalidDesign))
 
     def c_n(self, n):
         """Trimming threshold at sample size `n`."""
@@ -101,20 +103,22 @@ class EstimatedDesign:
     `joint` keeps the per-cell arm counts the estimate was computed
     from — shape ``(k, 2)`` indexed by treatment for the regression
     families, ``(k, 2, 2)`` indexed by (instrument, treatment) for the
-    instrumented ones.  The bootstrap resamples these counts directly.
+    instrumented ones.  The bootstrap resamples these counts directly;
+    `counts` (rows per cell) and `n` are their sums.
     """
 
     design: CellTable
-    counts: np.ndarray
     joint: np.ndarray
-    n: int
     family: str
+    counts: np.ndarray = dataclasses.field(init=False)
+    n: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        _store(self, counts=np.asarray(self.counts, dtype=np.int64),
-               joint=np.asarray(self.joint, dtype=np.int64))
-        if int(self.counts.sum()) != self.n or int(self.joint.sum()) != self.n:
-            raise InvalidDesign("cell counts do not add up to the sample size")
+        joint = np.asarray(self.joint, dtype=np.int64)
+        if joint.shape[:1] != (self.design.k,):
+            raise DimensionMismatch("joint counts need one row per cell")
+        counts = joint.reshape(self.design.k, -1).sum(axis=1)
+        _store(self, joint=joint, counts=counts, n=int(counts.sum()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,12 +138,14 @@ class LimitFunctional:
     psi_set: tuple
 
     def __post_init__(self):
-        _store(self, psi_set=tuple(int(i) for i in self.psi_set),
+        _store(self, psi_set=tuple(_whole(i, 0) for i in self.psi_set),
                **{name: np.asarray(getattr(self, name), dtype=float)
                   for name in ("coef_a", "coef_w0", "coef_p")})
+        if not self.coef_a.shape == self.coef_w0.shape == self.coef_p.shape:
+            raise DimensionMismatch("coef_w0 and coef_p must have the length of coef_a")
         if not self.psi_set:
             raise InvalidDesign("near-maximizer set is empty")
-        if not all(0 <= i < self.k for i in self.psi_set):
+        if not all(i is not None and i < self.k for i in self.psi_set):
             raise InvalidDesign(f"near-maximizer cells must lie in 0..{self.k - 1}")
 
     @property
@@ -268,13 +274,12 @@ def estimate_design(sample, family):
         If every cell's estimated complier share is zero.
     """
     if family not in ESTIMABLE:
-        raise ValueError(
+        raise InvalidDesign(
             "unknown family %r; expected one of %s" % (family, ", ".join(ESTIMABLE))
         )
     arms = _FROM_COUNTS[ESTIMAND_FAMILIES[family].primitive][0]
     labels = sample.labels
     k = labels.shape[0]
-    n = sample.n
     columns = [getattr(sample, arm) for arm in arms]
     if any(c is None for c in columns):
         raise SchemaError("family %r requires an instrument column z" % family)
@@ -291,15 +296,8 @@ def estimate_design(sample, family):
         bad = np.flatnonzero(~seen.all(axis=1))
         raise EmptyCellArm("cell %r has rows for only one %s arm" % (
             str(labels[bad[0]]), "instrument" if arms[0] == "z" else "treatment"))
-    p, a, w0, ok_a, ok_w0 = _theta(joint, n, family)
-    if not (ok_a.all() and ok_w0.all()):
-        raise InvariantViolation("a cell with both arms has an undefined estimate")
-    # of these families only the complier share can vanish in every cell
-    if float(p @ w0) <= 0:
-        raise NoCompliers("estimated complier share is zero in every cell")
-    design = CellTable(labels, p, a, w0)
-    counts = joint.reshape(k, -1).sum(axis=1)
-    return EstimatedDesign(design=design, counts=counts, joint=joint, n=n, family=family)
+    p, a, w0 = _theta(joint, sample.n, family)[:3]
+    return EstimatedDesign(_weighted_design(labels, p, a, w0), joint, family)
 
 
 def _plug_in(ed, cfg):
@@ -389,9 +387,9 @@ def psi_apply(lf, z):
 def _quantile(draws, alpha):
     """``float(np.quantile(draws, alpha))``: one partition on numpy's own
     kth set, so tied -0.0 and 0.0 land where they land there, and its
-    linear interpolation.  One draw, or a non-float alpha, goes to numpy."""
+    linear interpolation, for a float alpha.  One draw goes to numpy."""
     b = draws.shape[0]
-    if b == 1 or type(alpha) is not float:
+    if b == 1:
         return float(np.quantile(draws, alpha))
     v = (b - 1) * alpha
     i = int(v)

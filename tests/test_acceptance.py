@@ -258,9 +258,7 @@ class TestAcceptance:
         # at the exact population frequencies
         ed = EstimatedDesign(
             design=binary_design(),
-            counts=np.array([200000, 800000]),
             joint=np.array([[120000, 80000], [720000, 80000]]),
-            n=1000000,
             family="ols_ate",
         )
         lf = psi_hat_build(ed, cfg)

@@ -793,6 +793,9 @@ BAD_OPTIONS = {
     "fig2-mu0-text": ("figure-data", "--which", "fig2", "--mu0", "abc"),
     "simulate-seed-negative": ("simulate", "--seed", "-1"),
     "bootstrap-seed-negative": ("bootstrap", "--seed", "-3"),
+    # only the commands that draw anything take a seed
+    "audit-seed": ("audit", "--seed", "1"),
+    "estimate-seed": ("estimate", "--seed", "1"),
     "simulate-n-zero": ("simulate", "--n", "0"),
     "simulate-n-negative": ("simulate", "--n", "-3"),
 }

@@ -10,10 +10,13 @@ one evaluation per perturbation.
 """
 
 import ast
+import re
 import hashlib
 import importlib
 import inspect
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,8 +190,8 @@ def test_estimate_equals_builder_on_implied_table(family, data):
     sample = counts_sample(joint)
     try:
         built = fam.build(implied_table(joint))
-    except NoCompliers:
-        with pytest.raises(NoCompliers):
+    except NoCompliers as exc:
+        with pytest.raises(NoCompliers, match="^%s$" % re.escape(str(exc))):
             estimate_design(sample, family)
         return
     ed = estimate_design(sample, family)
@@ -282,3 +285,14 @@ def test_public_surface():
         homes = [m for m in modules if name in owned[m.__name__]]
         assert len(homes) == 1, name
         assert getattr(estimand_audit, name) is getattr(homes[0], name)
+
+
+def test_every_name_the_benchmark_traces_exists(monkeypatch):
+    """perfbench's tracer swaps these attributes for wrappers during an
+    op, so renaming one breaks the benchmark, not any other test."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    patches = importlib.import_module("tracer").cli_patches()
+    assert patches
+    for owner, attr, _, _ in patches:
+        assert attr in vars(owner), (owner, attr)

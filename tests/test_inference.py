@@ -140,8 +140,9 @@ class TestEstimateDesign:
         assert ed.design.a[0] == pytest.approx(0.15, abs=1e-15)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            estimate_design(benchmark_sample(), "matching")
+        for family in ("matching", "twfe_h"):  # twfe_h has no microdata
+            with pytest.raises(InvalidDesign, match="^unknown family"):
+                estimate_design(benchmark_sample(), family)
 
 
 class TestEstimateUniformValidity:
@@ -162,29 +163,39 @@ class TestEstimateUniformValidity:
 
     def test_no_positive_untrimmed_weight(self):
         design = cell_table(["a", "b"], [0.5, 0.5], [-1.0, 0.0])
-        ed = EstimatedDesign(design=design, counts=[5, 5],
-                             joint=[[2, 3], [2, 3]], n=10, family="ols_ate")
+        ed = EstimatedDesign(design=design, joint=[[2, 3], [2, 3]],
+                             family="ols_ate")
         with pytest.raises(DegenerateWeights, match="not positive"):
             estimate_uniform_validity(ed, CFG)
 
     def test_counts_must_add_up_to_the_sample_size(self):
+        # they do by construction: `counts` and `n` are sums of `joint`
         design = cell_table(["a", "b"], [0.5, 0.5], [1.0, 1.0])
-        with pytest.raises(InvalidDesign, match="^cell counts do not add up "
-                           "to the sample size$"):
-            EstimatedDesign(design=design, counts=[5, 5],
-                            joint=[[2, 3], [2, 2]], n=10, family="ols_ate")
+        ed = EstimatedDesign(design, [[[2, 3], [0, 1]], [[2, 2], [1, 0]]],
+                             "tsls")
+        assert ed.counts.tolist() == [6, 5] and ed.n == 11
+        assert type(ed.n) is int and not ed.counts.flags.writeable
+        with pytest.raises(DimensionMismatch,
+                           match="^joint counts need one row per cell$"):
+            EstimatedDesign(design, [[2, 3], [2, 2], [0, 1]], "ols_ate")
 
     def test_near_maximizer_set_is_never_empty(self):
         with pytest.raises(InvalidDesign,
                            match="^near-maximizer set is empty$"):
             LimitFunctional(np.ones(2), np.ones(2), np.ones(2), 1.0, ())
 
-    @pytest.mark.parametrize("psi_set", [(-1,), (0, 2)])
+    @pytest.mark.parametrize("psi_set", [(-1,), (0, 2), (0.7,)])
     def test_near_maximizer_set_is_cells_of_the_design(self, psi_set):
-        # a negative index would count from the end, k would be no cell
+        # a negative index would count from the end, k would be no cell,
+        # and a fraction would be cut to a cell
         with pytest.raises(InvalidDesign, match="^%s$" % re.escape(
                 "near-maximizer cells must lie in 0..1")):
             LimitFunctional(np.ones(2), np.ones(2), np.ones(2), 1.0, psi_set)
+
+    def test_coefficients_have_the_length_of_coef_a(self):
+        with pytest.raises(DimensionMismatch, match="^coef_w0 and coef_p "
+                           "must have the length of coef_a$"):
+            LimitFunctional(np.ones(2), np.ones(3), np.ones(2), 1.0, (0,))
 
     def test_raw_estimate_can_exceed_one(self):
         # the global weight max sits in a trimmed cell: the reported ratio
@@ -404,6 +415,19 @@ class TestBootstrapConfig:
         with pytest.raises(ValueError, match=field):
             BootstrapConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("alpha", "x", "alpha, c0 and xi0 values must be numbers"),
+        ("c0", None, "alpha, c0 and xi0 values must be finite"),
+        ("xi0", 1 + 0j, "alpha, c0 and xi0 values must be numbers"),
+        ("b", 0, "b must be a positive whole number, got 0"),
+        ("alpha", 1.2, "alpha must lie strictly between 0 and 1"),
+        ("c0", -1.0, "c0 and xi0 must be finite and positive"),
+        ("seed", -1, "seed must be a nonnegative whole number, got -1"),
+    ])
+    def test_every_rule_raises_invalid_design(self, field, value, message):
+        with pytest.raises(InvalidDesign, match="^%s$" % re.escape(message)):
+            BootstrapConfig(**{field: value})
+
     def test_float_b_and_seed_run_as_ints(self):
         s = benchmark_sample()
         got = bootstrap_ci(s, "ols_ate", BootstrapConfig(b=20.0, seed=3.0))
@@ -417,18 +441,16 @@ class TestBootstrapConfig:
 
 
 def test_broken_estimate_invariant_raises_without_assert(monkeypatch):
-    """The check survives `python -O`, which strips assert statements."""
-    from estimand_audit import inference
-    from estimand_audit.errors import InvariantViolation
-
+    """An undefined estimated weight is refused by `CellTable`, a check
+    that survives `python -O`, which strips assert statements."""
     real = inference._theta
 
     def broken(joint, n, family):
         p, a, w0, ok_a, ok_w0 = real(joint, n, family)
-        return p, a, w0, ok_a & False, ok_w0
+        return p, np.where(ok_a, np.nan, a), w0, ok_a, ok_w0
 
     monkeypatch.setattr(inference, "_theta", broken)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvalidDesign, match="^a values must be finite$"):
         estimate_design(benchmark_sample(), "ols_ate")
 
 
