@@ -19,11 +19,12 @@ order.  Both vanish asymptotically, so nothing is trimmed in the limit.
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
 from .cells import (CellTable, _BLOCK_FIELDS, _reals, _root_seed, _store,
-                    _as_float_array, _whole, clip_share, rng_stream)
+                    _whole, clip_share, rng_stream)
 from .designs import (ESTIMAND_FAMILIES, IvCellTable, PropensityTable,
                       _weighted_design)
 from .errors import (
@@ -78,14 +79,16 @@ class BootstrapConfig:
         b = _whole(self.b, 1)
         if b is None:
             raise InvalidDesign("b must be a positive whole number, got %r" % (self.b,))
-        alpha, c0, xi0 = _as_float_array(
-            (self.alpha, self.c0, self.xi0), "alpha, c0 and xi0", 3).tolist()
-        if not 0.0 < alpha < 1.0:
+        for name in ("alpha", "c0", "xi0"):
+            value = getattr(self, name)
+            if not isinstance(value, (float, numbers.Real)):  # float: no ABC lookup
+                raise InvalidDesign(f"{name} must be a real number, got {value!r}")
+        if not 0.0 < self.alpha < 1.0:
             raise InvalidDesign("alpha must lie strictly between 0 and 1")
-        if not (c0 > 0 and xi0 > 0):
+        if not (0 < self.c0 < math.inf and 0 < self.xi0 < math.inf):
             raise InvalidDesign("c0 and xi0 must be finite and positive")
-        _store(self, b=b, alpha=alpha, c0=c0, xi0=xi0,
-               seed=_root_seed(self.seed, InvalidDesign))
+        _store(self, b=b, alpha=float(self.alpha), c0=float(self.c0),
+               xi0=float(self.xi0), seed=_root_seed(self.seed, InvalidDesign))
 
     def c_n(self, n):
         """Trimming threshold at sample size `n`."""
@@ -115,8 +118,9 @@ class EstimatedDesign:
 
     def __post_init__(self):
         joint = np.asarray(self.joint, dtype=np.int64)
-        if joint.shape[:1] != (self.design.k,):
-            raise DimensionMismatch("joint counts need one row per cell")
+        shape = (self.design.k,) + (2,) * len(_arms(self.family))
+        if joint.shape != shape:
+            raise DimensionMismatch(f"joint counts must have shape {shape}")
         counts = joint.reshape(self.design.k, -1).sum(axis=1)
         _store(self, joint=joint, counts=counts, n=int(counts.sum()))
 
@@ -230,6 +234,14 @@ ESTIMABLE = tuple(name for name, fam in ESTIMAND_FAMILIES.items()
                   if fam.primitive in _FROM_COUNTS)
 
 
+def _arms(family):
+    """The count columns of a family in ESTIMABLE, else InvalidDesign."""
+    if family not in ESTIMABLE:
+        raise InvalidDesign(
+            "unknown family %r; expected one of %s" % (family, ", ".join(ESTIMABLE)))
+    return _FROM_COUNTS[ESTIMAND_FAMILIES[family].primitive][0]
+
+
 def _theta(joint, n, family):
     """Cell counts -> (p, a, w0, ok_a, ok_w0) for a family in ESTIMABLE.
 
@@ -266,6 +278,8 @@ def estimate_design(sample, family):
 
     Raises
     ------
+    InvalidDesign
+        If `family` is not in ``ESTIMABLE``.
     EmptyCellArm
         If some cell lacks an arm the family's weights condition on.
     SchemaError
@@ -273,11 +287,7 @@ def estimate_design(sample, family):
     NoCompliers
         If every cell's estimated complier share is zero.
     """
-    if family not in ESTIMABLE:
-        raise InvalidDesign(
-            "unknown family %r; expected one of %s" % (family, ", ".join(ESTIMABLE))
-        )
-    arms = _FROM_COUNTS[ESTIMAND_FAMILIES[family].primitive][0]
+    arms = _arms(family)
     labels = sample.labels
     k = labels.shape[0]
     columns = [getattr(sample, arm) for arm in arms]
