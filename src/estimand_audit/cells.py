@@ -58,14 +58,30 @@ def rng_stream(seed, *path):
 
     Streams are derived from a counter-based seed sequence, so the same
     (seed, path) pair always yields the same stream regardless of how many
-    other streams were created before it.  Path components may be ints or
-    strings.
+    other streams were created before it.  The seed is a nonnegative
+    whole number and each path component a string or one too (a float
+    such as 2.0 is its int); anything else is InvalidDesign.
     """
-    key = tuple(
-        int(p) if not isinstance(p, str) else zlib.crc32(p.encode("utf-8"))
-        for p in path
-    )
+    seed = _root_seed(seed, InvalidDesign)
+    try:
+        key = _path_key(path)
+    except TypeError:  # an unhashable component is no key either
+        key = None
+    if key is None:
+        bad = next(p for p in path
+                   if not isinstance(p, str) and _whole(p, 0) is None)
+        raise InvalidDesign("stream path components must be strings or "
+                            f"nonnegative whole numbers, got {bad!r}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+@functools.lru_cache(maxsize=32)
+def _path_key(path):
+    """The spawn key of a stream path: a string's CRC-32, a whole
+    number's int; None if some component is neither."""
+    key = tuple(zlib.crc32(p.encode("utf-8")) if isinstance(p, str)
+                else _whole(p, 0) for p in path)
+    return None if None in key else key
 
 
 def _reals(values, error, message):
@@ -73,7 +89,8 @@ def _reals(values, error, message):
     value is no real number; a complex one too, which numpy would cut to
     its real part with a ComplexWarning."""
     try:
-        if not np.iscomplexobj(values):
+        if (values.dtype.kind != "c" if isinstance(values, np.ndarray)
+                else not np.iscomplexobj(values)):
             return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         pass
@@ -92,14 +109,24 @@ def _as_float_array(values, name, k=None, nan_ok=False):
     return arr
 
 
-def _masses(values, name, k=None):
-    """Cell masses: finite, > 0 and summing to one."""
+def _masses(values, name, k):
+    """The masses of k >= 1 cells: finite, > 0 and summing to one."""
     mass = _as_float_array(values, name, k)
-    if (mass <= 0).any():
+    if mass.min() <= 0:
         raise InvalidDesign(f"every {name} value must be > 0")
-    if abs(mass.sum() - 1.0) > MASS_TOL:
-        raise InvalidDesign(f"{name} values sum to {mass.sum()!r}, not 1")
+    total = mass.sum()
+    if abs(total - 1.0) > MASS_TOL:
+        raise InvalidDesign(f"{name} values sum to {total!r}, not 1")
     return mass
+
+
+def _clipped(values, message):
+    """Values within MASS_TOL of [0, 1], as a new array clipped into it
+    (a -0.0 stays -0.0); otherwise InvalidDesign(message)."""
+    # the initial values let an empty array pass
+    if values.min(initial=0.0) < -MASS_TOL or values.max(initial=1.0) > 1 + MASS_TOL:
+        raise InvalidDesign(message)
+    return values.clip(0.0, 1.0)
 
 
 def _store(obj, **fields):
@@ -113,6 +140,8 @@ def _store(obj, **fields):
 def _whole(value, least):
     """`value` as an int when it is a whole number >= `least`, a float such
     as 20.0 included; otherwise None."""
+    if type(value) is int:  # the common case, without the ABC check
+        return value if value >= least else None
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     whole = isinstance(value, numbers.Integral) and value >= least
@@ -193,10 +222,8 @@ class CellTable(_LabelledTable):
             raise InvalidDesign("a design needs at least one cell")
         p = _masses(self.p, "p", k)
         a = _as_float_array(self.a, "a", k)
-        w0 = np.ones(k) if self.w0 is None else _as_float_array(self.w0, "w0", k)
-        if np.any(w0 < -MASS_TOL) or np.any(w0 > 1 + MASS_TOL):
-            raise InvalidDesign("w0 values must lie in [0, 1]")
-        w0 = np.clip(w0, 0.0, 1.0)
+        w0 = np.ones(k) if self.w0 is None else _clipped(
+            _as_float_array(self.w0, "w0", k), "w0 values must lie in [0, 1]")
         if w0 @ p <= 0:
             raise InvalidDesign("the W0 population has zero mass")
         tau = self.tau
@@ -204,10 +231,11 @@ class CellTable(_LabelledTable):
             tau = _as_float_array(tau, "tau", k, nan_ok=True)
             if np.all(np.isnan(tau)):
                 tau = None
-        x = _infer_numeric_labels(labels) if self.x is None else self.x
-        if x is not None:
+        if self.x is None:  # finite, one row per label, when not None
+            x = _infer_numeric_labels(labels)
+        else:
             shape = "numeric labels must be (K,) or (K, d)"
-            x = _reals(x, InvalidDesign, shape)
+            x = _reals(self.x, InvalidDesign, shape)
             if x.ndim not in (1, 2) or x.shape[0] != k:
                 raise InvalidDesign(shape)
             if not np.isfinite(x).all():
@@ -261,10 +289,9 @@ class SubpopulationRule:
     seed: int = 0
 
     def __post_init__(self):
-        inc = _as_float_array(self.inclusion, "inclusion")
-        if np.any(inc < -MASS_TOL) or np.any(inc > 1 + MASS_TOL):
-            raise InvalidDesign("inclusion probabilities must lie in [0, 1]")
-        _store(self, inclusion=np.clip(inc, 0.0, 1.0),
+        inc = _clipped(_as_float_array(self.inclusion, "inclusion"),
+                       "inclusion probabilities must lie in [0, 1]")
+        _store(self, inclusion=inc,
                seed=_root_seed(self.seed, InvalidDesign))
 
 
@@ -683,11 +710,12 @@ def open_atomic(path, newline=None):
                 os.remove(tmp)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=8)
 def _infer_numeric_labels(labels):
     """Numeric labels when every label parses as a finite float, or as a
     ';'-separated vector of them of common length; otherwise None.  The
-    last answer is kept, read-only, for `with_a` and `with_tau` to share."""
+    last few answers are kept, read-only, for `with_a` and `with_tau` to
+    share, and for a loop that alternates between a few designs."""
     try:  # a label that is no number, or vectors of two lengths, fail
         x = np.asarray([[float(v) for v in l.split(";")] for l in labels])
     except ValueError:

@@ -36,7 +36,8 @@ from .errors import (AuditError, InstanceTooLarge, InvalidDesign, InvalidSpec,
 from .inference import (
     ESTIMABLE,
     BootstrapConfig,
-    _plug_in,
+    _trimmed_labels,
+    _untrimmed,
     bootstrap_ci,
     estimate_design,
     estimate_uniform_validity,
@@ -324,7 +325,7 @@ def cmd_estimate(args, parser):
     cfg = BootstrapConfig(b=1, c0=args.c0, xi0=args.xi0)
     p_hat = estimate_uniform_validity(ed, cfg)
     c_n = cfg.c_n(ed.n)
-    trimmed = [ed.design.labels[i] for i in np.flatnonzero(~_plug_in(ed, cfg)[0])]
+    trimmed = _trimmed_labels(ed, _untrimmed(ed, cfg))
     cells = [
         {
             "label": ed.design.labels[i],

@@ -15,6 +15,7 @@ the implied population design exactly for oracle comparisons.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -83,17 +84,7 @@ class MicroSample:
         x = np.asarray(x, dtype=str)
         if x.ndim != 1:
             raise SchemaError("x and d must be matching vectors")
-        self._set(*_factorize(x.tolist()), d, z, y)
-
-    @classmethod
-    def _coded(cls, labels, codes, d, z=None, y=None):
-        """The sample whose x is labels[codes], from distinct sorted
-        labels that each label some row, without a label per row."""
-        sample = cls.__new__(cls)
-        sample._set(labels, codes, d, z, y)
-        return sample
-
-    def _set(self, labels, codes, d, z, y):
+        labels, codes = _factorize(x.tolist())
         if np.shape(d) != codes.shape:
             raise SchemaError("x and d must be matching vectors")
         if not codes.size:
@@ -105,8 +96,22 @@ class MicroSample:
             y = _reals(y, SchemaError, "outcome values must be numbers")
             if y.shape != codes.shape:
                 raise SchemaError("y must match the sample length")
-            if not np.isfinite(y).all():
-                raise SchemaError("outcome values must be finite")
+        self._fill(labels, codes, d, z, y)
+
+    @classmethod
+    def _coded(cls, labels, codes, d, z=None, y=None):
+        """The sample whose x is labels[codes], without a label per row,
+        from what `load_micro` reads and `simulate` draws: distinct sorted
+        labels that each label some row, and int8 0/1 columns d and z and
+        a float column y of the rows' length.  Only y can still be
+        refused."""
+        sample = cls.__new__(cls)
+        sample._fill(labels, codes, d, z, y)
+        return sample
+
+    def _fill(self, labels, codes, d, z, y):
+        if y is not None and not np.isfinite(y).all():
+            raise SchemaError("outcome values must be finite")
         _store(self, labels=labels, codes=codes, d=d, z=z, y=y)
 
     @property
@@ -332,6 +337,29 @@ class DgpSpec:
             if c.pa < 0 or c.pc + c.pa > 1:
                 raise InvalidSpec(f"cell {c.label!r}: invalid strata shares")
 
+    @functools.cached_property
+    def _draws(self):
+        """What `simulate` draws a cross-sectional sample with, built once
+        per spec: the cells' cdf, the per-cell columns of the baseline,
+        tau and the treatment rule (see `_treatment`), the sorted
+        distinct labels of all the cells and each cell's rank among them,
+        which are the sample's labels and codes when every cell is drawn."""
+        def column(name, dtype=None):
+            return np.asarray([getattr(c, name) for c in self.cells], dtype)
+
+        cdf = column("mass", float).cumsum()
+        cdf /= cdf[-1]
+        if self.family == "unconfoundedness":
+            rule = (column("p"),)
+        else:
+            pc = column("pc")
+            rule = (column("pz"), pc, pc + column("pa"))
+        base, tau = column("baseline", float), column("tau", float)
+        labels, rank = _factorize([c.label for c in self.cells])
+        for v in (cdf, base, tau, *rule, labels, rank):
+            v.setflags(write=False)
+        return cdf, base, tau, rule, labels, rank
+
     # -- primitives of the implied population design -------------------
 
     def _table(self, primitive=object):
@@ -439,46 +467,43 @@ def simulate(spec, n, seed=None):
     rng = rng_stream(root, "simulate", spec.family)
     if spec.family == "staggered_did":
         return _simulate_panel(spec, n, rng)
-    mass = np.asarray([c.mass for c in spec.cells], dtype=float)
-    tau = np.asarray([c.tau for c in spec.cells], dtype=float)
-    base = np.asarray([c.baseline for c in spec.cells], dtype=float)
-    # rng.choice(len(mass), size=n, p=mass) without its checks of p,
+    cdf, base, tau, rule, labels, rank = spec._draws
+    # rng.choice(k, size=n, p=mass) without its checks of p,
     # which DgpSpec has made: the same cdf, uniforms and search
-    cdf = mass.cumsum()
-    cdf /= cdf[-1]
     idx = cdf.searchsorted(rng.random(n), side="right")
     noise = rng.standard_normal(n)
     noise *= spec.noise_scale
-    d, z = _treatment(spec, idx, rng)
+    d, z = _treatment(rule, idx, rng)
     # y = base + d * tau + noise, in that order, in place
-    y, effect = base[idx], tau[idx]
+    y, effect = base.take(idx), tau.take(idx)
     effect *= d
     y += effect
     del effect
     y += noise
     del noise
-    # the labels of the cells drawn, sorted, and each row's rank among them
-    drawn = np.bincount(idx, minlength=len(mass)) > 0
-    labels, rank = _factorize([c.label for c, k in zip(spec.cells, drawn) if k])
-    code = np.zeros(len(mass), rank.dtype)
-    code[drawn] = rank
-    return MicroSample._coded(labels, code[idx], d, z, y)
+    drawn = np.bincount(idx, minlength=len(cdf))
+    if not drawn.all():  # the labels of the cells drawn and their ranks
+        drawn = drawn > 0
+        labels, some = _factorize([c.label for c, k in zip(spec.cells, drawn)
+                                   if k])
+        rank = np.zeros(len(cdf), some.dtype)
+        rank[drawn] = some
+    return MicroSample._coded(labels, rank.take(idx), d, z, y)
 
 
-def _treatment(spec, idx, rng):
-    """The drawn units' treatment d and, in the IV family, instrument z."""
+def _treatment(rule, idx, rng):
+    """The drawn units' treatment d and, in the IV family, instrument z,
+    from the per-cell columns of the treatment rule: (p,), or
+    (pz, pc, pc + pa) in the IV family."""
     n = len(idx)
-    if spec.family == "unconfoundedness":
-        p = np.asarray([c.p for c in spec.cells])
-        return (rng.random(n) < p[idx]).astype(np.int8), None
-    pz = np.asarray([c.pz for c in spec.cells])
-    pc = np.asarray([c.pc for c in spec.cells])
-    pa = np.asarray([c.pa for c in spec.cells])
-    z = (rng.random(n) < pz[idx]).astype(np.int8)
+    if len(rule) == 1:
+        return (rng.random(n) < rule[0].take(idx)).astype(np.int8), None
+    pz, pc, pc_pa = rule
+    z = (rng.random(n) < pz.take(idx)).astype(np.int8)
     u = rng.random(n)
-    complier = u < pc[idx]
+    complier = u < pc.take(idx)
     always = ~complier  # pc is finite, so this is u >= pc
-    always &= u < (pc + pa)[idx]
+    always &= u < pc_pa.take(idx)
     return (complier * z + always).astype(np.int8), z
 
 

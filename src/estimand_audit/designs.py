@@ -21,6 +21,7 @@ from .cells import (
     CellTable,
     _as_float_array,
     _BadField,
+    _clipped,
     _LabelledTable,
     _masses,
     _store,
@@ -105,10 +106,8 @@ class IvCellTable(_LabelledTable):
         # |cov(D,Z|X)| <= sd(D)·sd(Z) <= 1/4 for binary D and Z
         if np.any(np.abs(cov_dz) > 0.25 + 1e-12):
             raise InvalidDesign("|cov_dz| cannot exceed 1/4 for binary D, Z")
-        if np.any(pc < -MASS_TOL) or np.any(pc > 1 + MASS_TOL):
-            raise InvalidDesign("complier shares must lie in [0, 1]")
         _store(self, labels=labels, mass=mass, pz=pz, cov_dz=cov_dz,
-               pc=np.clip(pc, 0.0, 1.0))
+               pc=_clipped(pc, "complier shares must lie in [0, 1]"))
 
 
 @dataclass(frozen=True)

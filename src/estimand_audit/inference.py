@@ -198,28 +198,35 @@ def _propensity_columns(joint, n):
     d0, d1 = joint[..., 0], joint[..., 1]
     rows = d0 + d1
     px = d1 / np.maximum(rows, 1.0)
-    return rows / n, {"p": np.where((d0 > 0) & (d1 > 0), px, np.nan)}
+    return rows / n, {"p": np.where(np.minimum(d0, d1) > 0, px, np.nan)}
 
 
 def _instrument_columns(joint, n):
     """Counts ``(..., k, 2, 2)`` by (z, d) -> cell masses and the
     IvCellTable columns.  The complier share is the first-stage
     difference ``P(D=1|Z=1) - P(D=1|Z=0)``, clipped at zero when sampling
-    noise turns it negative."""
+    noise turns it negative.  Each column is made in one array, in place;
+    the rounding is that of the plain expressions in the comments."""
     z0d1, z1d1 = joint[..., 0, 1], joint[..., 1, 1]
     z0 = joint[..., 0, 0] + z0d1
     z1 = joint[..., 1, 0] + z1d1
     rows = z0 + z1
     safe_rows = np.maximum(rows, 1.0)
     pz = z1 / safe_rows
-    cov = z1d1 / safe_rows - ((z0d1 + z1d1) / safe_rows) * pz
-    pd1 = z1d1 / np.maximum(z1, 1.0)
-    pd0 = z0d1 / np.maximum(z0, 1.0)
-    pc = np.minimum(np.maximum(pd1 - pd0, 0.0), 1.0)
-    seen = rows > 0
-    return rows / n, {"pz": np.where(seen, pz, np.nan),
-                      "cov_dz": np.where(seen, cov, np.nan),
-                      "pc": np.where((z0 > 0) & (z1 > 0), pc, np.nan)}
+    # z1d1 / safe_rows - ((z0d1 + z1d1) / safe_rows) * pz
+    cov = (z0d1 + z1d1) / safe_rows
+    cov *= pz
+    np.subtract(z1d1 / safe_rows, cov, out=cov)
+    # min(max(z1d1 / max(z1, 1) - z0d1 / max(z0, 1), 0), 1)
+    pc = z1d1 / np.maximum(z1, 1.0)
+    pc -= z0d1 / np.maximum(z0, 1.0)
+    np.minimum(np.maximum(pc, 0.0, out=pc), 1.0, out=pc)
+    # undefined in an empty cell, and pc in a cell with an empty arm
+    unseen = rows == 0
+    pz[unseen] = np.nan
+    cov[unseen] = np.nan
+    pc[np.minimum(z0, z1) == 0] = np.nan
+    return rows / n, {"pz": pz, "cov_dz": cov, "pc": pc}
 
 
 # Primitive tables that micro data estimate: the sample columns whose
@@ -251,9 +258,11 @@ def _theta(joint, n, family):
     flagged False in `ok_a` and `ok_w0`.
     """
     fam = ESTIMAND_FAMILIES[family]
-    p, columns = _FROM_COUNTS[fam.primitive][1](np.asarray(joint, dtype=float), n)
+    # whole counts add exactly and divide as their floats, so integer
+    # counts give the bits of float ones without a float copy of them
+    p, columns = _FROM_COUNTS[fam.primitive][1](np.asarray(joint), n)
     a, w0 = fam.weights(**columns)
-    return p, a, w0, ~np.isnan(a), ~np.isnan(w0)
+    return p, a, w0, a == a, w0 == w0  # False exactly at NaN
 
 
 def estimate_design(sample, family):
@@ -300,39 +309,56 @@ def estimate_design(sample, family):
         cell += c
     joint = np.bincount(cell, minlength=k * 2 ** len(arms)).reshape(
         (k,) + (2,) * len(arms))
-    # both values of the first arm must occur in every cell
-    seen = joint.reshape(k, 2, -1).any(axis=2)
-    if not seen.all():
-        bad = np.flatnonzero(~seen.all(axis=1))
-        raise EmptyCellArm("cell %r has rows for only one %s arm" % (
-            str(labels[bad[0]]), "instrument" if arms[0] == "z" else "treatment"))
+    # both values of the first arm must occur in every cell, as they do
+    # where every count is positive
+    if not joint.all():
+        seen = joint.reshape(k, 2, -1).any(axis=2)
+        if not seen.all():
+            bad = (~seen.all(axis=1)).nonzero()[0]
+            raise EmptyCellArm("cell %r has rows for only one %s arm" % (
+                str(labels[bad[0]]),
+                "instrument" if arms[0] == "z" else "treatment"))
     p, a, w0 = _theta(joint, sample.n, family)[:3]
     return EstimatedDesign(_weighted_design(labels, p, a, w0), joint, family)
+
+
+def _untrimmed(ed, cfg):
+    """Which cells' estimated membership clears the trimming threshold."""
+    return ed.design.w0 > cfg.c_n(ed.n)
+
+
+def _trimmed_labels(ed, keep):
+    """The labels of the cells `keep` leaves out, in cell order."""
+    return [label for label, kept in zip(ed.design.labels, keep.tolist())
+            if not kept]
 
 
 def _plug_in(ed, cfg):
     """The untrimmed cells, the share estimate and its directional
     derivative, from one evaluation of the trimmed maximum weight."""
     d = ed.design
-    keep = d.w0 > cfg.c_n(ed.n)
-    if not keep.any():
+    keep = _untrimmed(ed, cfg)
+    a_max = float(d.a.max(where=keep, initial=-math.inf))  # a is finite
+    if a_max == -math.inf:
         raise AllCellsTrimmed(
             "every cell's estimated membership is at or below the trimming "
             "threshold %.4g" % cfg.c_n(ed.n)
         )
-    a_max = float(d.a[keep].max())
     if a_max <= 0.0:
         raise DegenerateWeights("largest untrimmed weight is not positive")
+    w0_p = d.w0 * d.p
     num = float((d.p * d.a * d.w0).sum())
-    den = float((d.p * d.w0).sum())
+    den = float(w0_p.sum())
     e_a = num / den
     scale = den * a_max
+    centred = d.a - e_a
+    near = keep & (d.a >= a_max - cfg.xi_n(ed.n))
     lf = LimitFunctional(
-        coef_a=d.w0 * d.p / scale,
-        coef_w0=(d.a - e_a) * d.p / scale,
-        coef_p=(d.a - e_a) * d.w0 / scale,
+        coef_a=w0_p / scale,
+        coef_w0=centred * d.p / scale,
+        coef_p=centred * d.w0 / scale,
         coef_max=e_a / a_max**2,
-        psi_set=tuple(np.flatnonzero(keep & (d.a >= a_max - cfg.xi_n(ed.n)))),
+        psi_set=tuple(near.nonzero()[0].tolist()),
     )
     return keep, num / (den * a_max), lf
 
@@ -389,7 +415,8 @@ def psi_apply(lf, z):
             % (lf.k, lf.k, z.shape)
         )
     za, zw, zp = z[..., 0, :], z[..., 1, :], z[..., 2, :]
-    kink = za[..., list(lf.psi_set)].max(axis=-1)
+    psi = lf.psi_set  # the max of one cell is that cell, -0.0 or NaN too
+    kink = za[..., psi[0]] if len(psi) == 1 else za[..., list(psi)].max(axis=-1)
     value = za @ lf.coef_a - lf.coef_max * kink + zw @ lf.coef_w0 + zp @ lf.coef_p
     return float(value) if z.ndim == 2 else value
 
@@ -456,8 +483,9 @@ def bootstrap_ci(sample, family, cfg):
         m = pending.shape[0]
         # the good replicates' perturbations, filled block by block and
         # evaluated at once; the multinomial draws rows in order, so the
-        # blocks draw what one call would
-        z = np.empty((m, 3, d.k))
+        # blocks draw what one call would.  Each coordinate's rows are
+        # contiguous, so that a block is written in three runs
+        z = np.empty((3, m, d.k))
         good = np.empty(m, dtype=bool)
         filled = 0
         for lo in range(0, m, step):
@@ -465,26 +493,34 @@ def bootstrap_ci(sample, family, cfg):
             cnt = rng.multinomial(n, pvals, size=size).reshape(
                 (size,) + ed.joint.shape)
             p, a, w0, ok_a, ok_w0 = _theta(cnt, n, family)
-            a = np.where(ok_a, a, d.a)
-            w0 = np.where(ok_w0, w0, d.w0)
+            # a coordinate falls back only where it is undefined
+            defined = np.count_nonzero(ok_a) + np.count_nonzero(ok_w0)
+            if defined < 2 * ok_a.size:
+                a = np.where(ok_a, a, d.a)
+                w0 = np.where(ok_w0, w0, d.w0)
+            # each good replicate's largest untrimmed weight, in `top`
             untrimmed = w0 > c
-            ok = untrimmed.any(axis=1)
+            if np.count_nonzero(untrimmed) == untrimmed.size:
+                ok, count, top = True, size, a
+            else:
+                ok = untrimmed.any(axis=1)
+                count = int(np.count_nonzero(ok))
+                top = np.where(untrimmed, a, -np.inf)
             good[lo:lo + size] = ok
-            count = int(np.count_nonzero(ok))
             if count < size:
-                p, a, w0, ok_a, ok_w0, untrimmed = (
-                    v[ok] for v in (p, a, w0, ok_a, ok_w0, untrimmed))
-            out = z[filled:filled + count]
-            np.subtract(a, d.a, out=out[:, 0])
-            np.subtract(w0, d.w0, out=out[:, 1])
-            np.subtract(p, d.p, out=out[:, 2])
+                p, a, w0, ok_a, ok_w0, top = (
+                    v[ok] for v in (p, a, w0, ok_a, ok_w0, top))
+                defined = np.count_nonzero(ok_a) + np.count_nonzero(ok_w0)
+            out = z[:, filled:filled + count]
+            np.subtract(a, d.a, out=out[0])
+            np.subtract(w0, d.w0, out=out[1])
+            np.subtract(p, d.p, out=out[2])
             out *= root_n
             filled += count
-            fallback += 2 * ok_a.size - int(np.count_nonzero(ok_a)
-                                            + np.count_nonzero(ok_w0))
-            masked = np.where(untrimmed, a, -np.inf)
-            unstable += count - int(np.count_nonzero(in_psi[masked.argmax(axis=1)]))
-        draws[pending[good]] = psi_apply(lf, z[:filled])
+            fallback += 2 * ok_a.size - int(defined)
+            unstable += count - int(np.count_nonzero(in_psi[top.argmax(axis=1)]))
+        draws[pending if filled == m else pending[good]] = psi_apply(
+            lf, z[:, :filled].transpose(1, 0, 2))
         if filled == m:
             break
         redraws += m - filled
@@ -498,7 +534,7 @@ def bootstrap_ci(sample, family, cfg):
     q_alpha = _quantile(draws, cfg.alpha)
     upper = clip_share(p_hat - q_alpha / root_n)
     diagnostics = {
-        "trimmed_cells": [d.labels[i] for i in np.flatnonzero(~keep)],
+        "trimmed_cells": _trimmed_labels(ed, keep),
         "fallback_coordinates": fallback,
         "degenerate_redraws": redraws,
         "max_cell_instability": unstable / cfg.b,

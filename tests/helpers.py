@@ -379,3 +379,49 @@ def reference_bootstrap_ci(sample, family, cfg):
     }
     return inference.BootstrapResult(p_hat=p_hat, draws=draws, q_alpha=q_alpha,
                                      ci=(0.0, upper), diagnostics=diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# loop reference of `data_io.simulate` for the cross-sectional families, as
+# it was before its per-spec constants were built once per spec
+# ---------------------------------------------------------------------------
+
+
+def reference_simulate(spec, n, seed=None):
+    """(labels, codes, d, z, y) of `simulate(spec, n, seed)`, with every
+    per-cell column, the cdf and the label factorization made per call."""
+    from estimand_audit.cells import rng_stream
+    from estimand_audit.data_io import _factorize
+
+    root = spec.seed if seed is None else seed
+    rng = rng_stream(root, "simulate", spec.family)
+    mass = np.asarray([c.mass for c in spec.cells], dtype=float)
+    tau = np.asarray([c.tau for c in spec.cells], dtype=float)
+    base = np.asarray([c.baseline for c in spec.cells], dtype=float)
+    cdf = mass.cumsum()
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(n), side="right")
+    noise = rng.standard_normal(n)
+    noise *= spec.noise_scale
+    if spec.family == "unconfoundedness":
+        p = np.asarray([c.p for c in spec.cells])
+        d, z = (rng.random(n) < p[idx]).astype(np.int8), None
+    else:
+        pz = np.asarray([c.pz for c in spec.cells])
+        pc = np.asarray([c.pc for c in spec.cells])
+        pa = np.asarray([c.pa for c in spec.cells])
+        z = (rng.random(n) < pz[idx]).astype(np.int8)
+        u = rng.random(n)
+        complier = u < pc[idx]
+        always = ~complier
+        always &= u < (pc + pa)[idx]
+        d = (complier * z + always).astype(np.int8)
+    y, effect = base[idx], tau[idx]
+    effect *= d
+    y += effect
+    y += noise
+    drawn = np.bincount(idx, minlength=len(mass)) > 0
+    labels, rank = _factorize([c.label for c, k in zip(spec.cells, drawn) if k])
+    code = np.zeros(len(mass), rank.dtype)
+    code[drawn] = rank
+    return labels, code[idx], d, z, y

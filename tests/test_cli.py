@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from estimand_audit import cells, cli
+from estimand_audit import cells, cli, inference
 from estimand_audit.cells import MomentSummary
 from estimand_audit.data_io import MicroSample
 
@@ -434,6 +434,17 @@ class TestEstimateCommand:
         assert payload["trimmed_cells"] == []
         counts = {c["label"]: c["count"] for c in payload["cells"]}
         assert counts == {"1": 200, "2": 800}
+
+    def test_the_share_is_evaluated_once(self, tmp_path, monkeypatch):
+        # the trimmed cells come from the same threshold, not a second pass
+        calls = []
+        real = inference._plug_in
+        monkeypatch.setattr(inference, "_plug_in",
+                            lambda *a: calls.append(a) or real(*a))
+        data = micro_csv(tmp_path / "m.csv")
+        assert run("estimate", "--data", data, "--family", "ols_att",
+                   "--json", tmp_path / "r.json", "--quiet") == 0
+        assert len(calls) == 1
 
     def test_family_is_required(self, tmp_path):
         data = micro_csv(tmp_path / "m.csv")

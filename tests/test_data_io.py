@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from estimand_audit import data_io
 from estimand_audit.data_io import (
@@ -40,7 +40,7 @@ from estimand_audit.errors import (
 )
 from estimand_audit.validity import uniform_internal_validity
 
-from .helpers import random_design
+from .helpers import random_design, reference_simulate
 
 
 def write(path, text):
@@ -595,6 +595,52 @@ class TestSimulate:
         rng = rng_stream(seed, "simulate", "unconfoundedness")
         want = rng.choice(len(mass), size=n, p=np.asarray(mass.tolist()))
         assert simulate(spec, n).x.tolist() == ["c%02d" % i for i in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_draws_what_the_loop_reference_draws(self, data):
+        """labels, codes, d, z and y bit for bit, on a fresh spec and on
+        its second draw: labels in any order, repeated or ending in NUL,
+        cells too light to be drawn and a whole-number mass."""
+        family = data.draw(st.sampled_from(["unconfoundedness", "iv"]))
+        k = data.draw(st.integers(1, 12), label="k")
+        labels = data.draw(st.lists(st.text("ab9\xe9\x00", max_size=3),
+                                    min_size=k, max_size=k), label="labels")
+        weight = st.floats(0.01, 1.0) | st.sampled_from([1e-9, 1e-5])
+        weights = data.draw(st.lists(weight, min_size=k, max_size=k))
+        masses = (np.asarray(weights) / sum(weights)).tolist()
+        if k == 1 and data.draw(st.booleans(), label="whole mass"):
+            masses = [1]
+        real = st.floats(-3, 3) | st.sampled_from([0.0, -0.0])
+        share = st.floats(0.01, 0.99)
+        cells = []
+        for label, mass in zip(labels, masses):
+            rule = {"p": data.draw(share)}
+            if family == "iv":
+                pc = data.draw(st.floats(0, 1))
+                rule = {"pz": data.draw(share), "pc": pc,
+                        "pa": data.draw(st.floats(0, 1)) * (1 - pc)}
+            cells.append(data_io.CellSpec(label=label, mass=mass, tau=data.draw(real),
+                                          baseline=data.draw(real), **rule))
+        try:
+            spec = DgpSpec(family=family, seed=data.draw(st.integers(0, 2**32)),
+                           noise_scale=data.draw(st.sampled_from([0.0, 1.0])
+                                                 | st.floats(0, 5)),
+                           cells=tuple(cells))
+        except InvalidSpec:  # pc + pa rounded above 1
+            reject()
+        n = data.draw(st.integers(1, 5000), label="n")
+        seed = data.draw(st.none() | st.integers(0, 2**32), label="seed")
+        want = reference_simulate(spec, n, seed)
+        for _ in range(2):
+            got = simulate(spec, n, seed=seed)
+            for name, w in zip(("labels", "codes", "d", "z", "y"), want):
+                g = getattr(got, name)
+                if w is None:
+                    assert g is None
+                    continue
+                assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+                assert g.tobytes() == w.tobytes(), name
 
     def test_whole_number_masses(self):
         spec = DgpSpec(family="unconfoundedness", cells=(

@@ -39,6 +39,7 @@ from .helpers import (
     reference_bootstrap_ci,
     reference_instrument_columns,
     reference_propensity_columns,
+    reference_psi_apply,
     reference_theta,
 )
 
@@ -497,14 +498,36 @@ def test_count_maps_equal_the_axis_sums(data):
     counts = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 2)
                                   | st.integers(0, 10**6)), label="counts")
     n = data.draw(st.integers(1, 10**7), label="n")
-    got_p, got = (inference._instrument_columns if iv
-                  else inference._propensity_columns)(counts.astype(float), n)
     want_p, want = (reference_instrument_columns if iv
                     else reference_propensity_columns)(counts.astype(float), n)
-    assert got.keys() == want.keys()
-    for g, w in [(got_p, want_p)] + [(got[c], want[c]) for c in want]:
-        assert (g.dtype, g.shape) == (w.dtype, w.shape)
-        assert g.tobytes() == w.tobytes()
+    # `_theta` hands over the integer counts themselves
+    for given in (counts.astype(float), counts):
+        got_p, got = (inference._instrument_columns if iv
+                      else inference._propensity_columns)(given, n)
+        assert got.keys() == want.keys()
+        for g, w in [(got_p, want_p)] + [(got[c], want[c]) for c in want]:
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_psi_apply_is_the_reference_bit_for_bit(data):
+    """One or several near-maximizers, ties of both zeros, NaN and inf in
+    the perturbation, a batch or one perturbation."""
+    k = data.draw(st.integers(1, 5), label="k")
+    psi = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k,
+                             unique=True), label="psi")
+    coef = hnp.arrays(float, k, elements=st.floats(-2, 2))
+    lf = LimitFunctional(data.draw(coef), data.draw(coef), data.draw(coef),
+                         data.draw(st.floats(-2, 2)), tuple(psi))
+    batch = data.draw(st.none() | st.integers(1, 6), label="batch")
+    shape = (3, k) if batch is None else (batch, 3, k)
+    z = data.draw(hnp.arrays(float, shape, elements=TIES | st.floats(-2, 2)))
+    with np.errstate(all="ignore"):
+        got = psi_apply(lf, z)
+        want = reference_psi_apply(lf, z)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def same_bootstrap(sample, family, cfg, block=inference._BLOCK_FIELDS):
