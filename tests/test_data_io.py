@@ -490,9 +490,10 @@ class TestNonFiniteOutcomes:
             MicroSample(x=["1", "2"], d=[0, 1], y=[0.5, bad])
 
     def test_csv_outcome_rejected(self, tmp_path):
-        src = write(tmp_path / "s.csv", "x,d,y\n1,0,0.5\n1,1,nan\n")
-        with pytest.raises(SchemaError):
-            load_micro(src)
+        for bad in ("nan", "inf", "-inf"):
+            src = write(tmp_path / "s.csv", "x,d,y\n1,0,0.5\n1,1,%s\n" % bad)
+            with pytest.raises(SchemaError, match="^outcome values must be finite$"):
+                load_micro(src)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf])
     def test_panel_rejects_infinite_outcomes(self, bad):
