@@ -97,13 +97,19 @@ def _reals(values, error, message):
     raise error(message)
 
 
-def _as_float_array(values, name, k=None, nan_ok=False):
-    """1-d float array of length `k`, all finite (NaN allowed if `nan_ok`)."""
+def _vector(values, name, k=None):
+    """1-d float array of length `k` (any length if None)."""
     arr = _reals(values, InvalidDesign, f"{name} values must be numbers")
     if arr.ndim != 1:
         raise InvalidDesign(f"{name} must be one-dimensional")
     if k is not None and arr.shape[0] != k:
         raise InvalidDesign(f"{name} has length {arr.shape[0]}, expected {k}")
+    return arr
+
+
+def _as_float_array(values, name, k=None, nan_ok=False):
+    """1-d float array of length `k`, all finite (NaN allowed if `nan_ok`)."""
+    arr = _vector(values, name, k)
     if not np.isfinite(arr).all() and (not nan_ok or np.isinf(arr).any()):
         raise InvalidDesign(f"{name} values must be finite")
     return arr
@@ -111,8 +117,9 @@ def _as_float_array(values, name, k=None, nan_ok=False):
 
 def _masses(values, name, k):
     """The masses of k >= 1 cells: finite, > 0 and summing to one."""
-    mass = _as_float_array(values, name, k)
-    if mass.min() <= 0:
+    mass = _vector(values, name, k)
+    if not (mass.min() > 0 and mass.max() < math.inf):  # NaN fails both
+        _as_float_array(mass, name)  # a value that is not finite comes first
         raise InvalidDesign(f"every {name} value must be > 0")
     total = mass.sum()
     if abs(total - 1.0) > MASS_TOL:
@@ -120,11 +127,14 @@ def _masses(values, name, k):
     return mass
 
 
-def _clipped(values, message):
-    """Values within MASS_TOL of [0, 1], as a new array clipped into it
-    (a -0.0 stays -0.0); otherwise InvalidDesign(message)."""
-    # the initial values let an empty array pass
-    if values.min(initial=0.0) < -MASS_TOL or values.max(initial=1.0) > 1 + MASS_TOL:
+def _clipped(values, name, message):
+    """Finite values within MASS_TOL of [0, 1], as a new array clipped
+    into it (a -0.0 stays -0.0); otherwise InvalidDesign, naming a value
+    that is not finite before one out of range (`message`)."""
+    # NaN fails both comparisons; the initial values let an empty array pass
+    if not (values.min(initial=0.0) >= -MASS_TOL
+            and values.max(initial=1.0) <= 1 + MASS_TOL):
+        _as_float_array(values, name)
         raise InvalidDesign(message)
     return values.clip(0.0, 1.0)
 
@@ -223,7 +233,7 @@ class CellTable(_LabelledTable):
         p = _masses(self.p, "p", k)
         a = _as_float_array(self.a, "a", k)
         w0 = np.ones(k) if self.w0 is None else _clipped(
-            _as_float_array(self.w0, "w0", k), "w0 values must lie in [0, 1]")
+            _vector(self.w0, "w0", k), "w0", "w0 values must lie in [0, 1]")
         if w0 @ p <= 0:
             raise InvalidDesign("the W0 population has zero mass")
         tau = self.tau
@@ -289,7 +299,7 @@ class SubpopulationRule:
     seed: int = 0
 
     def __post_init__(self):
-        inc = _clipped(_as_float_array(self.inclusion, "inclusion"),
+        inc = _clipped(_vector(self.inclusion, "inclusion"), "inclusion",
                        "inclusion probabilities must lie in [0, 1]")
         _store(self, inclusion=inc,
                seed=_root_seed(self.seed, InvalidDesign))

@@ -468,9 +468,18 @@ def simulate(spec, n, seed=None):
     if spec.family == "staggered_did":
         return _simulate_panel(spec, n, rng)
     cdf, base, tau, rule, labels, rank = spec._draws
-    # rng.choice(k, size=n, p=mass) without its checks of p,
-    # which DgpSpec has made: the same cdf, uniforms and search
-    idx = cdf.searchsorted(rng.random(n), side="right")
+    # rng.choice(k, size=n, p=mass) without its checks of p, which
+    # DgpSpec has made: from the same cdf and uniforms, each row's cell is
+    # the count of cdf values at or below its uniform (never the last,
+    # 1.0), which comparing with each value finds faster than a binary
+    # search for up to four cells
+    u = rng.random(n)
+    if len(cdf) > 4:
+        idx = cdf.searchsorted(u, side="right")
+    else:
+        idx = (u >= cdf[0]).astype(np.intp)
+        for c in cdf[1:-1]:
+            idx += u >= c
     noise = rng.standard_normal(n)
     noise *= spec.noise_scale
     d, z = _treatment(rule, idx, rng)

@@ -107,7 +107,7 @@ class IvCellTable(_LabelledTable):
         if np.any(np.abs(cov_dz) > 0.25 + 1e-12):
             raise InvalidDesign("|cov_dz| cannot exceed 1/4 for binary D, Z")
         _store(self, labels=labels, mass=mass, pz=pz, cov_dz=cov_dz,
-               pc=_clipped(pc, "complier shares must lie in [0, 1]"))
+               pc=_clipped(pc, "pc", "complier shares must lie in [0, 1]"))
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,8 @@ def test_bootstrap_config_refusals_in_order(kwargs, message):
     ((-0.5, 1.5), "every p value must be > 0"),
     ((math.nan, 1.0), "p values must be finite"),
     ((-math.inf, 1.0), "p values must be finite"),
+    ((0.5, math.inf), "p values must be finite"),
+    ((-0.5, math.nan), "p values must be finite"),
     ((0.5, 0.4), "p values sum to %r, not 1" % np.array([0.5, 0.4]).sum()),
 ])
 def test_cell_masses(p, message):
@@ -95,9 +97,15 @@ def test_w0_outside_the_unit_interval(w0):
         CellTable(("a", "b"), (0.5, 0.5), (1.0, 2.0), w0)
 
 
-def test_w0_must_be_finite_before_it_is_in_range():
+@pytest.mark.parametrize("w0", [(math.nan, 5.0), (0.5, math.inf), (-math.inf, 0.5)])
+def test_w0_must_be_finite_before_it_is_in_range(w0):
     with refuses(InvalidDesign, "w0 values must be finite"):
-        CellTable(("a", "b"), (0.5, 0.5), (1.0, 2.0), (math.nan, 5.0))
+        CellTable(("a", "b"), (0.5, 0.5), (1.0, 2.0), w0)
+
+
+def test_inclusion_must_be_finite_before_it_is_in_range():
+    with refuses(InvalidDesign, "inclusion values must be finite"):
+        SubpopulationRule((2.0, math.nan))
 
 
 CLIPPED = [-0.0, -1e-10, 1 + 1e-10, 1.0]
