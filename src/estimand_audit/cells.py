@@ -115,15 +115,13 @@ def _as_float_array(values, name, k=None, nan_ok=False):
     return arr
 
 
-def _masses(values, name, k):
-    """The masses of k >= 1 cells: finite, > 0 and summing to one."""
-    mass = _vector(values, name, k)
-    if not (mass.min() > 0 and mass.max() < math.inf):  # NaN fails both
-        _as_float_array(mass, name)  # a value that is not finite comes first
+def _masses(values, name, k=None):
+    """Cell masses: finite, > 0 and summing to one."""
+    mass = _as_float_array(values, name, k)
+    if (mass <= 0).any():
         raise InvalidDesign(f"every {name} value must be > 0")
-    total = mass.sum()
-    if abs(total - 1.0) > MASS_TOL:
-        raise InvalidDesign(f"{name} values sum to {total!r}, not 1")
+    if abs(mass.sum() - 1.0) > MASS_TOL:
+        raise InvalidDesign(f"{name} values sum to {mass.sum()!r}, not 1")
     return mass
 
 
@@ -251,6 +249,21 @@ class CellTable(_LabelledTable):
             if not np.isfinite(x).all():
                 raise InvalidDesign("numeric labels must be finite")
         _store(self, labels=labels, p=p, a=a, w0=w0, tau=tau, x=x)
+
+    @classmethod
+    def _weighted(cls, labels, p, a, w0):
+        """The table of a family's weights on cells that a primitive table
+        or counts have checked: a tuple of str labels, masses, float
+        weights and w0 within [0, 1] with W0 mass > 0, all of one length.
+        Only the finiteness of the weights is checked again, which is where
+        a fault of an estimator would show."""
+        for name, values in (("a", a), ("w0", w0)):
+            if not np.isfinite(values).all():
+                raise InvalidDesign(f"{name} values must be finite")
+        table = cls.__new__(cls)
+        _store(table, labels=labels, p=p, a=a, w0=w0, tau=None,
+               x=_infer_numeric_labels(labels))
+        return table
 
     # -- basic derived quantities -------------------------------------
 

@@ -268,6 +268,10 @@ def panel_to_group_distribution(panel):
 # synthetic data-generating processes
 # ---------------------------------------------------------------------------
 
+# the equal parts of [0, 1) by which `simulate` finds a row's cell: a
+# power of two, by which a uniform scales exactly
+_PARTS = 4096
+
 # the keys a JSON specification of each family may have, in the order
 # `DgpSpec.to_json_dict` writes them: at the top level, whose last key
 # holds the cells or groups, and in each of those
@@ -340,15 +344,21 @@ class DgpSpec:
     @functools.cached_property
     def _draws(self):
         """What `simulate` draws a cross-sectional sample with, built once
-        per spec: the cells' cdf, the per-cell columns of the baseline,
-        tau and the treatment rule (see `_treatment`), the sorted
-        distinct labels of all the cells and each cell's rank among them,
-        which are the sample's labels and codes when every cell is drawn."""
+        per spec: the cells' cdf and its table by parts of [0, 1), the
+        per-cell columns of the baseline, tau and the treatment rule (see
+        `_treatment`), the sorted distinct labels of all the cells and each
+        cell's rank among them, which are the sample's labels and codes
+        when every cell is drawn."""
         def column(name, dtype=None):
             return np.asarray([getattr(c, name) for c in self.cells], dtype)
 
         cdf = column("mass", float).cumsum()
         cdf /= cdf[-1]
+        # how many cdf values lie at or below the start of each of
+        # _PARTS equal parts of [0, 1), or -1 where one lies inside it
+        start = np.arange(_PARTS) / _PARTS
+        below = cdf.searchsorted(start, side="right")
+        below[cdf.searchsorted(start + 1 / _PARTS) > below] = -1
         if self.family == "unconfoundedness":
             rule = (column("p"),)
         else:
@@ -356,9 +366,9 @@ class DgpSpec:
             rule = (column("pz"), pc, pc + column("pa"))
         base, tau = column("baseline", float), column("tau", float)
         labels, rank = _factorize([c.label for c in self.cells])
-        for v in (cdf, base, tau, *rule, labels, rank):
+        for v in (cdf, below, base, tau, *rule, labels, rank):
             v.setflags(write=False)
-        return cdf, base, tau, rule, labels, rank
+        return (cdf, below), base, tau, rule, labels, rank
 
     # -- primitives of the implied population design -------------------
 
@@ -467,19 +477,24 @@ def simulate(spec, n, seed=None):
     rng = rng_stream(root, "simulate", spec.family)
     if spec.family == "staggered_did":
         return _simulate_panel(spec, n, rng)
-    cdf, base, tau, rule, labels, rank = spec._draws
+    (cdf, below), base, tau, rule, labels, rank = spec._draws
     # rng.choice(k, size=n, p=mass) without its checks of p, which
     # DgpSpec has made: from the same cdf and uniforms, each row's cell is
     # the count of cdf values at or below its uniform (never the last,
-    # 1.0), which comparing with each value finds faster than a binary
-    # search for up to four cells
+    # 1.0).  Comparing with each value finds it for up to four cells;
+    # beyond, the uniform's part of [0, 1) gives it (u * _PARTS is exact)
+    # unless a cdf value lies inside that part, where a binary search
+    # does, which on its own would be slower for every row
     u = rng.random(n)
     if len(cdf) > 4:
-        idx = cdf.searchsorted(u, side="right")
+        idx = below.take((u * _PARTS).astype(np.intp))
+        odd = (idx < 0).nonzero()[0]
+        idx[odd] = cdf.searchsorted(u.take(odd), side="right")
     else:
         idx = (u >= cdf[0]).astype(np.intp)
         for c in cdf[1:-1]:
             idx += u >= c
+    del u
     noise = rng.standard_normal(n)
     noise *= spec.noise_scale
     d, z = _treatment(rule, idx, rng)
@@ -506,14 +521,15 @@ def _treatment(rule, idx, rng):
     (pz, pc, pc + pa) in the IV family."""
     n = len(idx)
     if len(rule) == 1:
-        return (rng.random(n) < rule[0].take(idx)).astype(np.int8), None
+        return (rng.random(n) < rule[0].take(idx)).view(np.int8), None
     pz, pc, pc_pa = rule
-    z = (rng.random(n) < pz.take(idx)).astype(np.int8)
+    z = rng.random(n) < pz.take(idx)
     u = rng.random(n)
-    complier = u < pc.take(idx)
-    always = ~complier  # pc is finite, so this is u >= pc
-    always &= u < pc_pa.take(idx)
-    return (complier * z + always).astype(np.int8), z
+    # an always-taker (pc <= u < pc + pa) takes d = 1 and a complier
+    # (u < pc, so u < pc + pa too) d = z
+    d = u < pc_pa.take(idx)
+    d &= ~(u < pc.take(idx)) | z
+    return d.view(np.int8), z.view(np.int8)
 
 
 def _simulate_panel(spec, n, rng):

@@ -237,10 +237,13 @@ def _column_design(table, family):
 
 
 def _weighted_design(labels, mass, a, w0):
-    """Design of a family's weights; only w0 = pc can be zero in every cell."""
+    """Design of a family's weights on a checked table's cells or on
+    counts, where every cell has mass and each weight formula stays in
+    its range (see `CellTable._weighted`); only w0 = pc can be zero in
+    every cell."""
     if float(mass @ w0) <= 0:
         raise NoCompliers("no cell has a positive complier share")
-    return CellTable(labels, mass, a, w0)
+    return CellTable._weighted(labels, mass, a, w0)
 
 
 def ols_ate_design(pt):

@@ -194,11 +194,15 @@ class BootstrapResult:
 def _propensity_columns(joint, n):
     """Counts ``(..., k, 2)`` by treatment -> cell masses and the
     PropensityTable column ``p`` = P(D=1|X).  Arms are indexed and added,
-    not reduced; whole counts add exactly."""
+    not reduced; whole counts add exactly and divide as their floats."""
     d0, d1 = joint[..., 0], joint[..., 1]
     rows = d0 + d1
+    seen = np.minimum(d0, d1)
+    if seen.all():  # both arms in every cell
+        return rows / n, {"p": d1 / rows}
     px = d1 / np.maximum(rows, 1.0)
-    return rows / n, {"p": np.where(np.minimum(d0, d1) > 0, px, np.nan)}
+    px[seen == 0] = np.nan  # undefined in a cell with an empty arm
+    return rows / n, {"p": px}
 
 
 def _instrument_columns(joint, n):
@@ -319,7 +323,8 @@ def estimate_design(sample, family):
                 str(labels[bad[0]]),
                 "instrument" if arms[0] == "z" else "treatment"))
     p, a, w0 = _theta(joint, sample.n, family)[:3]
-    return EstimatedDesign(_weighted_design(labels, p, a, w0), joint, family)
+    return EstimatedDesign(_weighted_design(tuple(labels.tolist()), p, a, w0),
+                           joint, family)
 
 
 def _untrimmed(ed, cfg):

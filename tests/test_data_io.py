@@ -643,6 +643,26 @@ class TestSimulate:
                 assert (g.dtype, g.shape) == (w.dtype, w.shape), name
                 assert g.tobytes() == w.tobytes(), name
 
+    def test_cells_whose_cdf_lies_on_or_beside_a_part_edge(self):
+        """simulate finds a row's cell from its part of [0, 1) when more
+        than four cells are drawn; cdf values on an edge of a part, a
+        float beside one and inside one are where that could go wrong."""
+        edge = 1 / data_io._PARTS
+        masses = [edge, edge, np.nextafter(edge, 1), edge / 2, edge, 3 * edge]
+        masses.append(1 - sum(masses))  # dyadic, so the cdf is exact
+        assert sum(masses) == 1
+        spec = DgpSpec(family="unconfoundedness", cells=tuple(
+            data_io.CellSpec(label=str(i), mass=m, p=0.5)
+            for i, m in enumerate(masses)))
+        drawn = 0
+        for seed in range(40):
+            got, want = simulate(spec, 20000, seed=seed), reference_simulate(
+                spec, 20000, seed)
+            assert got.labels.tolist() == want[0].tolist()
+            assert got.codes.tobytes() == want[1].tobytes()
+            drawn += np.count_nonzero(got.labels[got.codes] != "6")
+        assert drawn > 1000  # rows in the first eight parts
+
     def test_whole_number_masses(self):
         spec = DgpSpec(family="unconfoundedness", cells=(
             data_io.CellSpec(label="a", mass=1, p=0.5),))

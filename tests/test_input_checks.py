@@ -11,7 +11,7 @@ import pytest
 from estimand_audit import cells, inference
 from estimand_audit.cells import CellTable, SubpopulationRule, rng_stream
 from estimand_audit.data_io import MicroSample, load_micro
-from estimand_audit.designs import IvCellTable
+from estimand_audit.designs import ESTIMAND_FAMILIES, IvCellTable, PropensityTable
 from estimand_audit.errors import (
     AllCellsTrimmed,
     DegenerateWeights,
@@ -225,6 +225,51 @@ def test_a_largest_weight_that_is_not_positive():
     ed = inference.EstimatedDesign(ed.design.with_a([0.0]), ed.joint, "ols_ate")
     with refuses(DegenerateWeights, "largest untrimmed weight is not positive"):
         inference._plug_in(ed, BootstrapConfig())
+
+
+# -- the designs of family weights --------------------------------------------
+
+
+def stores_what_the_checked_table_stores(got):
+    want = CellTable(got.labels, got.p, got.a, got.w0)
+    assert type(got) is CellTable and got.labels == want.labels
+    assert got.tau is None and want.tau is None
+    for name in ("p", "a", "w0", "x"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+        assert not g.flags.writeable
+
+
+@pytest.mark.parametrize("family", ["ols_ate", "ols_att", "ols_atu", "iv", "tsls"])
+def test_a_population_design_stores_what_the_checked_table_stores(family):
+    labels, mass = ("1", "2", "3", "4"), (0.25,) * 4
+    if family.startswith("ols"):
+        table = PropensityTable(labels, mass, (1e-300, 0.5, 0.7, 1 - 1e-16))
+    else:  # complier shares -0.0, 0.0, 1.0 and 1.0 after clipping
+        table = IvCellTable(labels, mass, (0.5, 1e-300, 0.3, 0.9),
+                            (0.1, -0.0, -0.05, 0.02), CLIPPED)
+    stores_what_the_checked_table_stores(ESTIMAND_FAMILIES[family].build(table))
+
+
+@pytest.mark.parametrize("family", inference.ESTIMABLE)
+def test_an_estimated_design_stores_what_the_checked_table_stores(family):
+    # both instrument arms in cell 1 and every (z, d) pair in cell 2
+    rows = [("1", 0), ("1", 1), ("1", 0), ("1", 1), ("2", 0), ("2", 1),
+            ("2", 0), ("2", 1), ("2", 1)]
+    ed = estimate_design(sample(rows, [0, 0, 1, 1, 0, 0, 1, 1, 1]), family)
+    stores_what_the_checked_table_stores(ed.design)
+
+
+def test_an_undefined_estimated_membership_is_refused(monkeypatch):
+    real = inference._theta
+
+    def broken(joint, n, family):
+        p, a, w0, ok_a, ok_w0 = real(joint, n, family)
+        return p, a, np.where(ok_w0, np.nan, w0), ok_a, ok_w0
+
+    monkeypatch.setattr(inference, "_theta", broken)
+    with refuses(InvalidDesign, "w0 values must be finite"):
+        estimate_design(sample([("a", 0), ("a", 1), ("a", 1)], [0, 1, 1]), "iv")
 
 
 # -- stream keys -------------------------------------------------------------
